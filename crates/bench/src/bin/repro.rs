@@ -23,10 +23,11 @@ use neutrino_bench::figures::{
     ablation, appsfig, burst, failure, handover, logsize, overload, pct, serialization,
 };
 use neutrino_bench::figures::{PctPoint, Profile};
-use neutrino_bench::{render, schedbench, shardbench, sweep};
+use neutrino_bench::{render, schedbench, sweep};
 use neutrino_netsim::alloc_count;
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 
 /// Engine throughput of one figure cell (`--bench-out`).
 #[derive(Debug, Serialize)]
@@ -59,42 +60,91 @@ struct FigBench {
     cells: Vec<CellBench>,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let huge = args.iter().any(|a| a == "--huge");
-    let faults = args.iter().any(|a| a == "--faults");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+const USAGE: &str = "usage: repro [FIGURE...|all] [--quick] [--huge] [--faults] [--jobs N] \
+[--json FILE] [--bench-out FILE]
+figures: fig3 fig7 fig8 fig9 fig10 fig11 fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20 \
+ablation overload (no figure, or `all`, runs every one)";
+
+/// Every figure `repro` knows, in `all` order.
+const FIGURES: [&str; 16] = [
+    "fig3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig13", "fig14", "fig15", "fig16", "fig17",
+    "fig18", "fig19", "fig20", "ablation", "overload",
+];
+
+/// The parsed command line.
+struct Args {
+    figs: Vec<String>,
+    quick: bool,
+    huge: bool,
+    faults: bool,
+    jobs: Option<usize>,
+    json: Option<String>,
+    bench_out: Option<String>,
+}
+
+/// Parses the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
+    let mut args = Args {
+        figs: Vec::new(),
+        quick: false,
+        huge: false,
+        faults: false,
+        jobs: None,
+        json: None,
+        bench_out: None,
     };
-    let json_path = flag_value("--json");
-    let bench_path = flag_value("--bench-out");
-    if let Some(jobs) = flag_value("--jobs") {
-        let jobs: usize = jobs.parse().expect("--jobs takes a worker count");
+    let mut all = false;
+    let mut it = raw.into_iter();
+    while let Some(arg) = it.next() {
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(None),
+            "--quick" => args.quick = true,
+            "--huge" => args.huge = true,
+            "--faults" => args.faults = true,
+            "--jobs" => {
+                let n = value("--jobs")?;
+                args.jobs = Some(n.parse().map_err(|e| format!("--jobs `{n}`: {e}"))?);
+            }
+            "--json" => args.json = Some(value("--json")?),
+            "--bench-out" => args.bench_out = Some(value("--bench-out")?),
+            "all" => all = true,
+            fig if FIGURES.contains(&fig) => args.figs.push(arg),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            other => return Err(format!("unknown figure `{other}`")),
+        }
+    }
+    if all || args.figs.is_empty() {
+        args.figs = FIGURES.iter().map(|f| f.to_string()).collect();
+    }
+    Ok(Some(args))
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let Args {
+        figs,
+        quick,
+        huge,
+        faults,
+        jobs,
+        json: json_path,
+        bench_out: bench_path,
+    } = args;
+    if let Some(jobs) = jobs {
         sweep::set_jobs(jobs);
     }
-    if let Some(shards) = flag_value("--shards") {
-        let shards: usize = shards.parse().expect("--shards takes a shard count");
-        neutrino_core::experiment::set_shards(shards);
-    }
     let profile = if quick { Profile::Quick } else { Profile::Full };
-    let mut figs: Vec<String> = args
-        .iter()
-        .filter(|a| a.starts_with("fig") || a.as_str() == "ablation" || a.as_str() == "overload")
-        .cloned()
-        .collect();
-    if figs.is_empty() || args.iter().any(|a| a == "all") {
-        figs = vec![
-            "fig3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig13", "fig14", "fig15", "fig16",
-            "fig17", "fig18", "fig19", "fig20", "ablation", "overload",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
-    }
 
     let mut json: BTreeMap<String, serde_json::Value> = BTreeMap::new();
     let mut bench: BTreeMap<String, FigBench> = BTreeMap::new();
@@ -165,7 +215,7 @@ fn main() {
             "fig19" | "fig20" => run_fig19_20(fig, &mut json),
             "ablation" => run_ablation(&mut json),
             "overload" => run_overload(profile, &mut json),
-            other => eprintln!("unknown figure: {other}"),
+            other => unreachable!("`{other}` is not in FIGURES"),
         }
         let wall = started.elapsed();
         let cells: Vec<CellBench> = sweep::take_cell_perf()
@@ -218,6 +268,7 @@ fn main() {
             alloc_count::current() - allocs_at_start,
         );
     }
+    ExitCode::SUCCESS
 }
 
 /// Writes the `--bench-out` perf report (BENCH_netsim.json shape).
@@ -254,10 +305,6 @@ fn write_bench(
             serde_json::to_value(&if quick { "quick" } else { "full" }).expect("ser"),
         ),
         ("jobs".to_string(), serde_json::to_value(&sweep::jobs()).expect("ser")),
-        (
-            "shards".to_string(),
-            serde_json::to_value(&neutrino_core::experiment::shards()).expect("ser"),
-        ),
         (
             "host_cores".to_string(),
             serde_json::to_value(
@@ -302,27 +349,6 @@ fn write_bench(
     report.push((
         "engine_wheel".to_string(),
         serde_json::to_value(&engine_wheel).expect("ser"),
-    ));
-    // Sharded-engine bench: the multi-region ring through ShardedSim at
-    // 1/2/4 shards. `measure` asserts (events, order_hash) identity across
-    // shard counts before reporting throughput, so these rows double as a
-    // determinism check on every bench run. Speedups above 1 need real
-    // parallel hardware — on a single-core host the window coordination is
-    // pure overhead (see the `note` field written with the report).
-    let sharded_horizon = neutrino_common::time::Duration::from_millis(if quick { 20 } else { 200 });
-    let engine_sharded = shardbench::measure(sharded_horizon, &[2, 4]);
-    for p in &engine_sharded {
-        eprintln!(
-            "[engine_sharded shards={}: {} events, {:.2}M events/s, {:.2}x vs sequential]",
-            p.shards,
-            p.events,
-            p.events_per_sec / 1e6,
-            p.speedup_vs_sequential
-        );
-    }
-    report.push((
-        "engine_sharded".to_string(),
-        serde_json::to_value(&engine_sharded).expect("ser"),
     ));
     // Overload throughput/latency percentiles (admitted vs offered, p50/p99
     // by class) ride along whenever the `overload` figure ran.

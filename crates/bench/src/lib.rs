@@ -20,7 +20,6 @@
 pub mod figures;
 pub mod render;
 pub mod schedbench;
-pub mod shardbench;
 pub mod sweep;
 
 pub use figures::*;

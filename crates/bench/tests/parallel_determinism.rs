@@ -1,12 +1,10 @@
 //! The parallel sweep must be invisible in the results: the same figure
 //! run with 1 worker and with 8 workers serializes to byte-identical JSON.
-//! Likewise the region-sharded engine: the same figure run with 1, 2, and
-//! 4 engine shards serializes to byte-identical JSON — no re-blessing.
 
 use neutrino_bench::figures::{failure, pct, Profile};
 use neutrino_bench::sweep::{self, Cell};
 use neutrino_common::time::Duration;
-use neutrino_core::{experiment, SystemConfig};
+use neutrino_core::SystemConfig;
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
@@ -67,45 +65,4 @@ fn fault_injected_cells_are_worker_count_independent() {
         sequential, parallel,
         "fault-injected figure JSON must not depend on the worker count"
     );
-}
-
-/// Runs `f` at engine shard counts 1, 2, and 4 and asserts the serialized
-/// results are byte-identical. `set_shards` is process-global, so each
-/// identity test drives all counts itself (like the jobs tests above).
-fn assert_shards_identical<T: serde::Serialize>(what: &str, mut f: impl FnMut() -> T) {
-    experiment::set_shards(1);
-    let sequential = serde_json::to_string_pretty(&f()).expect("ser");
-    for shards in [2usize, 4] {
-        experiment::set_shards(shards);
-        let sharded = serde_json::to_string_pretty(&f()).expect("ser");
-        assert_eq!(
-            sequential, sharded,
-            "{what} must not depend on the engine shard count (shards={shards})"
-        );
-    }
-    experiment::set_shards(1);
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
-fn fig8_is_shard_count_independent() {
-    assert_shards_identical("fig8 JSON", || pct::fig8(Profile::Quick));
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
-fn fig10_is_shard_count_independent() {
-    assert_shards_identical("fig10 JSON", || failure::fig10(Profile::Quick));
-}
-
-/// The fault grid exercises the degradation path: faulty links make the
-/// link table sequence-sensitive, so every shard count must fall back to
-/// the one sequential engine — and the JSON stays byte-identical without
-/// any re-blessing.
-#[test]
-#[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
-fn fault_grid_is_shard_count_independent() {
-    sweep::set_jobs(1);
-    assert_shards_identical("fault-grid JSON", fault_grid);
-    sweep::set_jobs(0);
 }

@@ -38,7 +38,6 @@ struct Args {
     seeds: u64,
     start_seed: u64,
     jobs: usize,
-    shards: usize,
     corpus: Option<PathBuf>,
     shrink_budget: u64,
     replay: Option<PathBuf>,
@@ -51,7 +50,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: explore [--scenario NAME|all] [--seeds N] [--start-seed S] \
-[--jobs J] [--shards S] [--corpus DIR] [--shrink-budget R] [--replay FILE] [--list] \
+[--jobs J] [--corpus DIR] [--shrink-budget R] [--replay FILE] [--list] \
 [--exhaustive] [--flow-coverage] [--bound B] [--max-paths P] [--json FILE]";
 
 fn parse_args() -> Result<Args, String> {
@@ -60,7 +59,6 @@ fn parse_args() -> Result<Args, String> {
         seeds: 100,
         start_seed: 0,
         jobs: 0,
-        shards: 1,
         corpus: None,
         shrink_budget: 150,
         replay: None,
@@ -88,11 +86,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--jobs" => {
                 args.jobs = value("--jobs")?.parse().map_err(|e| format!("--jobs: {e}"))?
-            }
-            "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
             }
             "--corpus" => args.corpus = Some(PathBuf::from(value("--corpus")?)),
             "--shrink-budget" => {
@@ -395,10 +388,6 @@ fn main() -> ExitCode {
         list();
         return ExitCode::SUCCESS;
     }
-    // Engine shard count for every case this process runs (replays too).
-    // Reports are byte-identical for any value; the shards-identity CI
-    // job pins that by diffing fingerprints across --shards runs.
-    neutrino_core::experiment::set_shards(args.shards);
     if let Some(path) = &args.replay {
         return replay(path);
     }

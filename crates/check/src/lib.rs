@@ -45,9 +45,6 @@ pub mod shrink;
 pub use corpus::CorpusCase;
 pub use invariants::{invariant_by_name, ALL_INVARIANTS};
 pub use mcheck::{explore_exhaustive, McheckOptions, McheckOutcome, McheckStats};
-pub use run::{
-    run_case, run_case_sharded, run_case_with, CheckReport, Fingerprint, RunOutcome,
-    ViolationRecord,
-};
+pub use run::{run_case, run_case_with, CheckReport, Fingerprint, ViolationRecord};
 pub use scenario::{plan_by_name, small_model_plan, CasePlan, Scenario, SMALL_MODEL_NAMES};
 pub use shrink::{shrink, ShrinkOutcome};

@@ -260,7 +260,7 @@ pub fn explore_exhaustive(plan: &CasePlan, opts: &McheckOptions) -> McheckOutcom
             script,
             log: Vec::new(),
         };
-        let report = run_case_with(plan, 1, Some(&mut chooser)).report;
+        let report = run_case_with(plan, Some(&mut chooser));
         stats.paths_explored += 1;
         if stats.paths_explored == 1 {
             stats.identity_choice_points = chooser.log.len() as u64;

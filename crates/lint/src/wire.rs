@@ -284,8 +284,8 @@ pub(crate) fn fn_body(tokens: &[Token], name: &str) -> Option<(usize, usize)> {
 }
 
 /// Parse `encode_sysmsg` arms: (variant, tag written, arm line).
-/// Each `SysMsg::V` pattern is paired with the first `put_u8(TAG_X)` that
-/// follows it before the next `SysMsg::` pattern.
+/// Each `SysMsg::V` pattern is paired with the first `push(TAG_X)` (or
+/// `put_u8(TAG_X)`) that follows it before the next `SysMsg::` pattern.
 fn encode_arms(tokens: &[Token]) -> Vec<(String, Option<String>, u32)> {
     let Some((open, close)) = fn_body(tokens, "encode_sysmsg") else {
         return Vec::new();
@@ -303,7 +303,7 @@ fn encode_arms(tokens: &[Token]) -> Vec<(String, Option<String>, u32)> {
             i += 3;
             continue;
         }
-        if body[i].text == "put_u8"
+        if (body[i].text == "push" || body[i].text == "put_u8")
             && i + 2 < body.len()
             && body[i + 1].text == "("
             && body[i + 2].text.starts_with("TAG_")
@@ -373,9 +373,9 @@ const TAG_C: u8 = 3;
 pub fn encode_sysmsg(m: &SysMsg) -> Vec<u8> {
     let mut buf = Vec::new();
     match m {
-        SysMsg::A(v) => { buf.put_u8(TAG_A); buf.put_u8(*v); }
-        SysMsg::B { x } => { buf.put_u8(TAG_B); buf.put_u64(*x); }
-        SysMsg::C => { buf.put_u8(TAG_C); }
+        SysMsg::A(v) => { buf.push(TAG_A); buf.push(*v); }
+        SysMsg::B { x } => { buf.push(TAG_B); buf.extend_from_slice(&x.to_be_bytes()); }
+        SysMsg::C => { buf.push(TAG_C); }
     }
     buf
 }

@@ -6,8 +6,8 @@
 //! [`Chooser`] which one to dispatch first. The [`IdentityChooser`] always
 //! picks the lowest global sequence number, which reproduces the
 //! sequential `(at, seq)` stream exactly — so instrumented runs with the
-//! identity chooser are byte-identical to `run_until` and no golden,
-//! corpus pin, or shard-identity suite can observe the instrumentation.
+//! identity chooser are byte-identical to `run_until` and no golden or
+//! corpus pin can observe the instrumentation.
 //!
 //! A model checker (see `crates/check`, `mcheck`) drives this with a
 //! scripted chooser to enumerate delivery interleavings of a small

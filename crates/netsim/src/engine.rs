@@ -17,7 +17,6 @@ use neutrino_common::time::{Duration, Instant};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifies a node inside a simulation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -129,14 +128,10 @@ impl<M> Default for Outbox<M> {
 /// A delivery witness: `tap(from, to, &msg)` runs for every message
 /// actually enqueued at an up node (after loss/partition/down filtering,
 /// before service). See [`Sim::set_delivery_tap`].
-pub type DeliveryTap<M> = Box<dyn FnMut(NodeId, NodeId, &M) + Send>;
+pub type DeliveryTap<M> = Box<dyn FnMut(NodeId, NodeId, &M)>;
 
 /// A protocol state machine living at one node.
-///
-/// `Send` is required so the region-sharded engine ([`crate::shard`]) can
-/// run shards on worker threads; nodes are only ever *moved* across
-/// threads at window barriers, never shared, so `Sync` is not needed.
-pub trait Node<M>: Any + Send {
+pub trait Node<M>: Any {
     /// Service time charged for a message *before* [`Node::handle`] runs —
     /// the CPU the node burns parsing, processing, and building responses.
     /// Zero means the message is pure bookkeeping.
@@ -154,7 +149,7 @@ pub trait Node<M>: Any + Send {
     fn as_any(&mut self) -> &mut dyn Any;
 }
 
-pub(crate) enum EventKind<M> {
+enum EventKind<M> {
     Deliver { to: NodeId, from: NodeId, msg: M },
     JobComplete { node: NodeId, epoch: u64, job: u64 },
     Timer { node: NodeId, id: u64, epoch: u64 },
@@ -163,10 +158,9 @@ pub(crate) enum EventKind<M> {
 }
 
 impl<M> EventKind<M> {
-    /// The node whose shard must dispatch this event. `JobComplete`,
-    /// `Timer`, `Crash` and `Recover` always target the node that owns
-    /// them; only `Deliver` crosses shards.
-    pub(crate) fn target(&self) -> NodeId {
+    /// The node this event is dispatched at: the destination of a
+    /// `Deliver`, the owning node of every other kind.
+    fn target(&self) -> NodeId {
         match self {
             EventKind::Deliver { to, .. } => *to,
             EventKind::JobComplete { node, .. }
@@ -233,106 +227,6 @@ const MAX_DENSE_ID: u64 = 1 << 24;
 /// Slot sentinel meaning "no node registered at this raw id".
 const NO_SLOT: u32 = u32::MAX;
 
-/// Shard sentinel in the raw-id → shard map meaning "not registered
-/// anywhere"; such targets dispatch locally (and count as unroutable
-/// there), so the per-shard unroutable counters sum to the sequential
-/// engine's count.
-pub(crate) const NO_SHARD: u32 = u32::MAX;
-
-/// First provisional sequence number handed out inside a sharded window.
-/// Coordinator-assigned global sequences grow from zero and can never
-/// reach this (the event budget trips first), so every event already
-/// pending when a window opens wins equal-time ties against events pushed
-/// *during* the window — exactly the sequential engine's push-order
-/// tiebreak, where pending events were pushed earlier.
-pub(crate) const PROVISIONAL_SEQ_BASE: u64 = 1 << 63;
-
-/// One push made during a sharded window, recorded in push order so the
-/// window coordinator can symbolically replay it (see [`crate::shard`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum PushRec {
-    /// Entered this shard's own wheel under a provisional key
-    /// (`at <= bound`, target owned locally).
-    Local {
-        /// Scheduled time.
-        at: Instant,
-    },
-    /// Target owned locally but past the window bound; the event body sits
-    /// in [`WindowOut::deferred`] awaiting a coordinator-assigned key.
-    Deferred {
-        /// Scheduled time.
-        at: Instant,
-    },
-    /// Target owned by another shard; the event body sits in
-    /// [`WindowOut::exports`] awaiting routing at the barrier.
-    Export {
-        /// Scheduled time.
-        at: Instant,
-        /// Destination shard.
-        dest: u32,
-    },
-}
-
-impl PushRec {
-    pub(crate) fn at(&self) -> Instant {
-        match self {
-            PushRec::Local { at } | PushRec::Deferred { at } | PushRec::Export { at, .. } => *at,
-        }
-    }
-}
-
-/// One dispatched event's slice of the window log: the time it ran at and
-/// how many entries it appended to [`WindowOut::pushes`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DispatchRec {
-    pub(crate) at: Instant,
-    pub(crate) pushes: u32,
-}
-
-/// Everything a shard ships to the window coordinator at a barrier.
-pub(crate) struct WindowOut<M> {
-    /// Events dispatched this window, in dispatch order.
-    pub(crate) dispatches: Vec<DispatchRec>,
-    /// Pushes made this window, in push order, segmented by
-    /// `dispatches[i].pushes`.
-    pub(crate) pushes: Vec<PushRec>,
-    /// Bodies of `PushRec::Deferred` pushes, in push order.
-    pub(crate) deferred: Vec<(Instant, EventKind<M>)>,
-    /// Bodies of `PushRec::Export` pushes, in push order.
-    pub(crate) exports: Vec<(u32, Instant, EventKind<M>)>,
-}
-
-impl<M> Default for WindowOut<M> {
-    fn default() -> Self {
-        WindowOut {
-            dispatches: Vec::new(),
-            pushes: Vec::new(),
-            deferred: Vec::new(),
-            exports: Vec::new(),
-        }
-    }
-}
-
-/// Per-shard window state, installed once by [`crate::shard::ShardedSim`]
-/// when it goes multi-shard. `None` on every sequential `Sim`, so the
-/// sequential hot path pays exactly one predictable branch in `push`.
-struct WindowState<M> {
-    /// This shard's index.
-    my_shard: u32,
-    /// Raw node id → owning shard (`NO_SHARD` / out of range = local).
-    /// Shared read-only with the coordinator and sibling shards; replaced
-    /// wholesale when nodes are added.
-    shard_of: Arc<Vec<u32>>,
-    /// Inclusive bound of the window currently running.
-    bound: Instant,
-    /// Next provisional sequence (reset to [`PROVISIONAL_SEQ_BASE`] per
-    /// window).
-    prov_seq: u64,
-    /// True only while `run_window` is on the stack.
-    active: bool,
-    out: WindowOut<M>,
-}
-
 /// The simulator.
 pub struct Sim<M> {
     now: Instant,
@@ -364,9 +258,6 @@ pub struct Sim<M> {
     /// Recycled outbox: send/timer buffers are reused across `handle`
     /// calls instead of being reallocated per event.
     scratch: Outbox<M>,
-    /// Sharded-window interception state; `None` for every sequential
-    /// engine (see [`WindowState`]).
-    window: Option<Box<WindowState<M>>>,
     /// Chosen-mode bookkeeping (state-hash chains, delivery count);
     /// `None` until the first [`Sim::run_until_chosen`] call, so plain
     /// runs carry no instrumentation cost.
@@ -405,7 +296,6 @@ impl<M: Clone + 'static> Sim<M> {
             reordered: 0,
             dropped_unroutable: 0,
             scratch: Outbox::default(),
-            window: None,
             choice: None,
             tap: None,
         }
@@ -495,134 +385,9 @@ impl<M: Clone + 'static> Sim<M> {
     }
 
     fn push(&mut self, at: Instant, kind: EventKind<M>) {
-        if self.window.is_some() {
-            return self.push_windowed(at, kind);
-        }
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(SchedKey { at, seq }, kind);
-    }
-
-    /// Window-mode push: classify by target shard and window bound, log
-    /// the push for the coordinator's symbolic replay, and only enter the
-    /// local wheel (under a provisional key) when the event both belongs
-    /// here and falls inside the window.
-    fn push_windowed(&mut self, at: Instant, kind: EventKind<M>) {
-        let w = self.window.as_mut().expect("windowed push");
-        debug_assert!(w.active, "push outside a window in sharded mode");
-        let target = kind.target();
-        let dest = w
-            .shard_of
-            .get(target.raw() as usize)
-            .copied()
-            .unwrap_or(NO_SHARD);
-        let rec = if dest != NO_SHARD && dest != w.my_shard {
-            w.out.exports.push((dest, at, kind));
-            PushRec::Export { at, dest }
-        } else if at > w.bound {
-            w.out.deferred.push((at, kind));
-            PushRec::Deferred { at }
-        } else {
-            let seq = w.prov_seq;
-            w.prov_seq += 1;
-            self.queue.push(SchedKey { at, seq }, kind);
-            let w = self.window.as_mut().expect("windowed push");
-            w.out.pushes.push(PushRec::Local { at });
-            w.out
-                .dispatches
-                .last_mut()
-                .expect("pushes only happen inside a dispatch")
-                .pushes += 1;
-            return;
-        };
-        w.out.pushes.push(rec);
-        w.out
-            .dispatches
-            .last_mut()
-            .expect("pushes only happen inside a dispatch")
-            .pushes += 1;
-    }
-
-    /// Pushes an event under a caller-supplied key, bypassing both the
-    /// local sequence counter and window classification. The shard
-    /// coordinator uses this to deliver barrier-merged events (and
-    /// pre-run injections) whose global sequence it assigned itself.
-    pub(crate) fn push_keyed(&mut self, key: SchedKey, kind: EventKind<M>) {
-        self.queue.push(key, kind);
-    }
-
-    /// Installs (or refreshes) window-mode interception; the engine now
-    /// belongs to shard `my_shard` of a [`crate::shard::ShardedSim`]. The
-    /// map is refreshed whenever nodes were added since the last run.
-    pub(crate) fn set_window(&mut self, my_shard: u32, shard_of: Arc<Vec<u32>>) {
-        match &mut self.window {
-            Some(w) => {
-                debug_assert!(!w.active, "map swap mid-window");
-                w.my_shard = my_shard;
-                w.shard_of = shard_of;
-            }
-            None => {
-                self.window = Some(Box::new(WindowState {
-                    my_shard,
-                    shard_of,
-                    bound: Instant::ZERO,
-                    prov_seq: PROVISIONAL_SEQ_BASE,
-                    active: false,
-                    out: WindowOut::default(),
-                }));
-            }
-        }
-    }
-
-    /// Runs one conservative window: dispatches every pending event with
-    /// `at <= bound` (all of which are local by construction) and returns
-    /// the push log + deferred/exported event bodies for the barrier.
-    ///
-    /// Unlike `run_until` this takes no wall-clock or allocation samples —
-    /// the coordinator measures the whole sharded run once — and checks
-    /// the event budget per event against the *global* budget, which
-    /// guards a single shard caught in a zero-delay feedback loop; the
-    /// cross-shard sum is checked by the coordinator at each barrier.
-    pub(crate) fn run_window(&mut self, bound: Instant) -> WindowOut<M> {
-        {
-            let w = self.window.as_mut().expect("sharded mode");
-            debug_assert!(!w.active, "window already running");
-            debug_assert!(
-                w.out.dispatches.is_empty()
-                    && w.out.pushes.is_empty()
-                    && w.out.deferred.is_empty()
-                    && w.out.exports.is_empty(),
-                "window buffers not drained"
-            );
-            w.bound = bound;
-            w.prov_seq = PROVISIONAL_SEQ_BASE;
-            w.active = true;
-        }
-        while let Some(key) = self.queue.peek_key() {
-            if key.at > bound {
-                break;
-            }
-            let (key, kind) = self.queue.pop().expect("peeked");
-            self.events_processed += 1;
-            if self.events_processed > self.config.max_events {
-                self.panic_event_budget(key.at);
-            }
-            debug_assert!(key.at >= self.now, "time went backwards");
-            self.now = key.at;
-            self.window
-                .as_mut()
-                .expect("sharded mode")
-                .out
-                .dispatches
-                .push(DispatchRec {
-                    at: key.at,
-                    pushes: 0,
-                });
-            self.dispatch(kind);
-        }
-        let w = self.window.as_mut().expect("sharded mode");
-        w.active = false;
-        std::mem::take(&mut w.out)
     }
 
     /// Injects a message from outside the simulated network, arriving at
@@ -745,8 +510,8 @@ impl<M: Clone + 'static> Sim<M> {
     }
 
     /// Dispatches one already-popped event at `self.now`. Shared between
-    /// the sequential `run_until` loop and the sharded `run_window` loop
-    /// so both paths run the identical per-event state machine.
+    /// `run_until` and `run_until_chosen` so both loops run the identical
+    /// per-event state machine.
     #[inline(always)]
     fn dispatch(&mut self, kind: EventKind<M>) {
         match kind {
@@ -949,17 +714,11 @@ impl<M: Clone + 'static> Sim<M> {
     /// event (delivering before vs. after a same-tick crash is a
     /// meaningful ordering); [`crate::ChoiceCtx::barrier`] flags such
     /// choice points so a pruning policy can treat them as dependent.
-    ///
-    /// Not available on windowed (sharded) engines.
     pub fn run_until_chosen(
         &mut self,
         deadline: Instant,
         chooser: &mut dyn crate::Chooser<M>,
     ) -> Instant {
-        assert!(
-            self.window.is_none(),
-            "run_until_chosen requires the sequential engine"
-        );
         if self.choice.is_none() {
             self.choice = Some(Box::new(crate::choice::ChoiceState::new(self.nodes.len())));
         }

@@ -37,7 +37,7 @@ pub mod wheel;
 
 pub use choice::{ChoiceCtx, Chooser, Enabled, IdentityChooser};
 pub use engine::{DeliveryTap, Node, NodeEvent, NodeId, Outbox, Sim, SimConfig};
-pub use shard::ShardedSim;
 pub use links::{Delivery, FaultSpec, LinkSpec, Links};
+pub use shard::ShardedSim;
 pub use stats::{NodeStats, SimStats};
 pub use wheel::{ReferenceHeap, SchedKey, Wheel};

@@ -1,927 +1,83 @@
-//! Region-sharded conservative PDES driver with byte-identical merge.
+//! [`ShardedSim`]: a thin name over the sequential [`Sim`].
 //!
-//! [`ShardedSim`] partitions the node slab into per-shard [`Sim`]
-//! sub-engines (one calendar wheel each) and advances them in parallel
-//! inside conservative time windows, while guaranteeing that the global
-//! `(at, seq)` dispatch order — and therefore every observable output —
-//! is **byte-identical** to the sequential engine. The sequential path
-//! (`--shards 1`, or any sequence-sensitive link table) runs a single
-//! plain [`Sim`] and is the executable specification, exactly like
-//! `ReferenceHeap` is for the wheel.
-//!
-//! # Window-barrier protocol
-//!
-//! The paper's two-region topology (5 µs intra-region vs 500 µs
-//! inter-region links) provides the *lookahead* conservative PDES needs:
-//! an event dispatched at time `t` can only schedule work on another
-//! shard at `t + L` or later, where `L` is the minimum latency over all
-//! cross-shard links. Each round:
-//!
-//! 1. The coordinator reads the globally earliest pending event time
-//!    `t0` from its *mirror wheel* (see below) and opens a window with
-//!    inclusive bound `min(deadline, t0 + L − 1 ns)`.
-//! 2. Every shard, on its own worker thread, dispatches all of its
-//!    pending events with `at <= bound`. By the lookahead argument none
-//!    of those events can be affected by another shard's work inside the
-//!    same window. Cross-shard sends are buffered, not delivered; every
-//!    push is logged.
-//! 3. At the barrier the coordinator *symbolically replays* the window
-//!    (below), assigns global sequence numbers, routes buffered events
-//!    to their destination shards, and opens the next window. Every
-//!    window advances `t0` by at least `L`, so a run needs at most
-//!    `horizon / L` barriers.
-//!
-//! # Why determinism survives: the mirror replay
-//!
-//! The sequential engine breaks equal-time ties by a single global push
-//! counter. A parallel run cannot observe the interleaved counter while
-//! shards execute — so the coordinator reconstructs it afterwards. It
-//! keeps a persistent **mirror wheel**: the set of every pending event's
-//! `(at, gseq)` key and owning shard (bodies live in the shard wheels).
-//! At a barrier it pops mirror keys with `at <= bound` in true global
-//! order; each pop consumes the owning shard's next dispatch-log record
-//! (a shard's local dispatch order equals the global order restricted to
-//! that shard, by induction) and assigns fresh, globally ordered `gseq`
-//! values to that dispatch's logged pushes — exactly the values the
-//! sequential engine's counter would have produced. Intra-window local
-//! pushes re-enter the mirror and are replayed in turn; deferred
-//! (past-bound) and exported (cross-shard) bodies are routed back to
-//! their owners keyed by their assigned `gseq`.
-//!
-//! Inside a window a shard keys its own intra-window pushes with
-//! *provisional* sequence numbers starting at `1 << 63` — above every
-//! real `gseq` — so already-pending events win equal-time ties against
-//! events pushed during the window, matching the sequential push-order
-//! tiebreak. Ties among intra-window pushes break in local push order,
-//! which equals global push order restricted to the shard.
-//!
-//! # Sequential degradation
-//!
-//! Link-level jitter and probabilistic faults draw from a hash keyed on
-//! a *globally interleaved* per-send sequence number; no parallel
-//! execution can reproduce that interleaving without serializing, and
-//! re-keying the draws would change every pinned golden. When
-//! [`Links::sequence_sensitive`] reports such draws are possible (or
-//! `shards <= 1`), `ShardedSim` runs one sequential `Sim` — identity is
-//! trivial, and fault-grid runs stay byte-for-byte what they were.
-//! Timed partitions key on virtual time only and shard fine.
+//! It exists only because the benchmark package (`perfbench/`) compiles
+//! against this name; every call goes straight to the wrapped [`Sim`]. The
+//! region-sharded engine it used to front was removed because it was
+//! never faster (DESIGN.md, "Engine scheduling").
 
-use crate::engine::{DispatchRec, EventKind, Node, NodeId, PushRec, Sim, SimConfig, WindowOut};
-use crate::engine::NO_SHARD;
+use crate::engine::{Node, NodeId, Sim, SimConfig};
 use crate::links::Links;
-use crate::stats::{NodeStats, SimStats};
-use crate::wheel::{SchedKey, Wheel};
-use neutrino_common::time::{Duration, Instant};
-use std::sync::mpsc;
-use std::sync::Arc;
-// lint-allow(thread): audited PDES coordinator — shards run in lockstep conservative windows and merge at deterministic barriers; identity with the sequential engine is pinned by the shards-identity suite
-use std::thread;
+use std::ops::{Deref, DerefMut};
 
-/// A panic payload carried from a shard worker back to the coordinator.
-type Panic = Box<dyn std::any::Any + Send + 'static>;
+/// Panic message for any shard count but 1 or shard index but 0.
+const REMOVED: &str =
+    "the region-sharded engine was removed; only shards = 1 (shard 0) is accepted";
 
-/// One command sent to a shard worker thread.
-enum Cmd<M> {
-    /// Run one window up to the inclusive bound and report the log.
-    Window(Instant),
-    /// Admit barrier-merged events under coordinator-assigned keys.
-    Finalize(Vec<(SchedKey, EventKind<M>)>),
-}
+/// The sequential [`Sim`] under the name the benchmark package uses.
+/// Exists only for that package's API: it derefs to [`Sim`], and its own
+/// methods accept only a single shard.
+pub struct ShardedSim<M>(Sim<M>);
 
-/// A shard's window log re-packaged for in-order consumption.
-struct ShardLog<M> {
-    dispatches: std::vec::IntoIter<DispatchRec>,
-    pushes: std::vec::IntoIter<PushRec>,
-    deferred: std::vec::IntoIter<(Instant, EventKind<M>)>,
-    exports: std::vec::IntoIter<(u32, Instant, EventKind<M>)>,
-}
-
-impl<M> ShardLog<M> {
-    fn new(out: WindowOut<M>) -> Self {
-        ShardLog {
-            dispatches: out.dispatches.into_iter(),
-            pushes: out.pushes.into_iter(),
-            deferred: out.deferred.into_iter(),
-            exports: out.exports.into_iter(),
-        }
-    }
-}
-
-/// The multi-shard state. Boxed inside [`ShardedSim`] so the common
-/// sequential mode doesn't pay for its footprint.
-struct Sharded<M> {
-    shards: Vec<Sim<M>>,
-    /// Raw node id → owning shard; shared read-only with every shard.
-    shard_of: Arc<Vec<u32>>,
-    /// Registered node ids per shard, for the lookahead scan.
-    members: Vec<Vec<NodeId>>,
-    /// The global pending set: every scheduled event's key → owning
-    /// shard. Bodies stay in the shard wheels; this is keys only.
-    mirror: Wheel<u32>,
-    /// The reconstructed global push counter (equals the sequential
-    /// engine's `seq` after every barrier).
-    gseq: u64,
-    /// Virtual time of the last globally dispatched event.
-    now: Instant,
-    /// Globally dispatched events (equals the sum over shards).
-    events: u64,
-    config: SimConfig,
-    /// Master link table; shards hold clones, refreshed when dirty.
-    links: Links,
-    links_dirty: bool,
-    /// Shard maps need (re-)installing before the next run.
-    maps_dirty: bool,
-    /// `None` = recompute; `Some(None)` = no cross-shard pairs exist.
-    lookahead: Option<Option<Duration>>,
-    /// Host time inside `run_until` (the shards never read the clock).
-    wall: std::time::Duration,
-    allocs: u64,
-}
-
-/// A drop-in engine front end that runs one [`Sim`] per region shard.
-///
-/// Construct with [`ShardedSim::new`] (or
-/// [`ShardedSim::with_config`]) and register every node with an owning
-/// shard. With `shards <= 1` — or whenever the link table is
-/// sequence-sensitive (jitter / probabilistic faults) — it transparently
-/// runs the plain sequential engine. The public surface mirrors [`Sim`].
-pub struct ShardedSim<M> {
-    mode: Mode<M>,
-}
-
-enum Mode<M> {
-    /// The executable spec: one engine, zero window machinery.
-    Sequential(Box<Sim<M>>),
-    Sharded(Box<Sharded<M>>),
-}
-
-impl<M: Clone + Send + 'static> ShardedSim<M> {
-    /// Creates a sharded simulator over the given link table. Falls back
-    /// to sequential execution when `shards <= 1` or the links make
-    /// delivery decisions from the global send sequence (see module
-    /// docs).
-    pub fn new(links: Links, shards: usize) -> Self {
-        Self::with_config(links, SimConfig::default(), shards)
-    }
-
-    /// [`ShardedSim::new`] with an explicit engine config.
+impl<M: Clone + 'static> ShardedSim<M> {
+    /// [`Sim::with_config`]. Exists only for the benchmark package's API;
+    /// panics unless `shards == 1`.
     pub fn with_config(links: Links, config: SimConfig, shards: usize) -> Self {
-        if shards <= 1 || links.sequence_sensitive() {
-            return ShardedSim {
-                mode: Mode::Sequential(Box::new(Sim::with_config(links, config))),
-            };
-        }
-        let sims = (0..shards)
-            .map(|_| Sim::with_config(links.clone(), config.clone()))
-            .collect();
-        ShardedSim {
-            mode: Mode::Sharded(Box::new(Sharded {
-                shards: sims,
-                shard_of: Arc::new(Vec::new()),
-                members: vec![Vec::new(); shards],
-                mirror: Wheel::new(),
-                gseq: 0,
-                now: Instant::ZERO,
-                events: 0,
-                config,
-                links,
-                links_dirty: false,
-                maps_dirty: true,
-                lookahead: None,
-                wall: std::time::Duration::ZERO,
-                allocs: 0,
-            })),
-        }
+        assert_eq!(shards, 1, "{REMOVED}");
+        ShardedSim(Sim::with_config(links, config))
     }
 
-    /// Whether this simulator actually runs multiple shards (false when
-    /// construction degraded to the sequential engine).
-    pub fn is_sharded(&self) -> bool {
-        matches!(self.mode, Mode::Sharded(_))
-    }
-
-    /// Number of shard engines (1 in sequential mode).
-    pub fn shard_count(&self) -> usize {
-        match &self.mode {
-            Mode::Sequential(_) => 1,
-            Mode::Sharded(s) => s.shards.len(),
-        }
-    }
-
-    /// Registers a node on `shard`. The shard index is ignored in
-    /// sequential mode. Panics on duplicate ids or out-of-range shards.
+    /// [`Sim::add_node`]. Exists only for the benchmark package's API;
+    /// panics unless `shard == 0`.
     pub fn add_node(&mut self, id: NodeId, node: Box<dyn Node<M>>, shard: usize) {
-        match &mut self.mode {
-            Mode::Sequential(sim) => sim.add_node(id, node),
-            Mode::Sharded(s) => {
-                assert!(
-                    shard < s.shards.len(),
-                    "shard {shard} out of range (have {})",
-                    s.shards.len()
-                );
-                s.shards[shard].add_node(id, node);
-                let raw = id.raw() as usize;
-                let map = Arc::make_mut(&mut s.shard_of);
-                if map.len() <= raw {
-                    map.resize(raw + 1, NO_SHARD);
-                }
-                map[raw] = shard as u32;
-                s.members[shard].push(id);
-                s.maps_dirty = true;
-                s.lookahead = None;
-            }
-        }
-    }
-
-    /// Injects a message from outside the simulated network (see
-    /// [`Sim::inject_at`]). Inject only to already-registered nodes in
-    /// sharded mode: an unknown target is dispatched (and counted
-    /// unroutable) on shard 0.
-    pub fn inject_at(&mut self, at: Instant, to: NodeId, msg: M) {
-        match &mut self.mode {
-            Mode::Sequential(sim) => sim.inject_at(at, to, msg),
-            Mode::Sharded(s) => s.push_global(
-                at,
-                EventKind::Deliver {
-                    to,
-                    from: NodeId::EXTERNAL,
-                    msg,
-                },
-            ),
-        }
-    }
-
-    /// Schedules a crash (see [`Sim::crash_at`]).
-    pub fn crash_at(&mut self, at: Instant, node: NodeId) {
-        match &mut self.mode {
-            Mode::Sequential(sim) => sim.crash_at(at, node),
-            Mode::Sharded(s) => s.push_global(at, EventKind::Crash { node }),
-        }
-    }
-
-    /// Schedules a recovery (see [`Sim::recover_at`]).
-    pub fn recover_at(&mut self, at: Instant, node: NodeId) {
-        match &mut self.mode {
-            Mode::Sequential(sim) => sim.recover_at(at, node),
-            Mode::Sharded(s) => s.push_global(at, EventKind::Recover { node }),
-        }
-    }
-
-    /// Runs until all queues drain or `deadline` passes; returns the time
-    /// of the last dispatched event (see [`Sim::run_until`]).
-    pub fn run_until(&mut self, deadline: Instant) -> Instant {
-        match &mut self.mode {
-            Mode::Sequential(sim) => sim.run_until(deadline),
-            Mode::Sharded(s) => s.run_until(deadline),
-        }
-    }
-
-    /// Runs until every queue is fully drained.
-    pub fn run_to_completion(&mut self) -> Instant {
-        self.run_until(Instant::FAR_FUTURE)
-    }
-
-    /// Chosen-mode run (see [`Sim::run_until_chosen`]). Interleaving
-    /// choice needs the one global event stream only the sequential
-    /// engine has, so this panics on a sharded engine — a checker must
-    /// build its cluster at `shards = 1`.
-    pub fn run_until_chosen(
-        &mut self,
-        deadline: Instant,
-        chooser: &mut dyn crate::Chooser<M>,
-    ) -> Instant {
-        match &mut self.mode {
-            Mode::Sequential(sim) => sim.run_until_chosen(deadline, chooser),
-            Mode::Sharded(_) => panic!("run_until_chosen requires shards = 1"),
-        }
-    }
-
-    /// Installs a delivery witness on the underlying sequential engine (see
-    /// [`Sim::set_delivery_tap`]). A sharded engine has no single delivery
-    /// order to witness, so this panics there — flow-coverage runs build
-    /// their cluster at `shards = 1`.
-    pub fn set_delivery_tap(&mut self, tap: crate::engine::DeliveryTap<M>) {
-        match &mut self.mode {
-            Mode::Sequential(sim) => sim.set_delivery_tap(tap),
-            Mode::Sharded(_) => panic!("set_delivery_tap requires shards = 1"),
-        }
-    }
-
-    /// Order-canonical chosen-mode state hash (see
-    /// [`Sim::choice_state_hash`]); zero for sharded engines, which never
-    /// enter chosen mode.
-    pub fn choice_state_hash(&self) -> u64 {
-        match &self.mode {
-            Mode::Sequential(sim) => sim.choice_state_hash(),
-            Mode::Sharded(_) => 0,
-        }
-    }
-
-    /// Current virtual time (last dispatched event).
-    pub fn now(&self) -> Instant {
-        match &self.mode {
-            Mode::Sequential(sim) => sim.now(),
-            Mode::Sharded(s) => s.now,
-        }
-    }
-
-    /// Total events dispatched so far across all shards.
-    pub fn events_processed(&self) -> u64 {
-        match &self.mode {
-            Mode::Sequential(sim) => sim.events_processed(),
-            Mode::Sharded(s) => s.events,
-        }
-    }
-
-    /// Engine-level counters aggregated across shards. Event and drop
-    /// counters are exact sums and identical to a sequential run;
-    /// `wall`/`allocs` are measured once around the whole sharded run;
-    /// `max_sched_depth` and `max_queue_depth` are maxima over shards.
-    pub fn sim_stats(&self) -> SimStats {
-        match &self.mode {
-            Mode::Sequential(sim) => sim.sim_stats(),
-            Mode::Sharded(s) => {
-                let mut agg = SimStats {
-                    events_processed: 0,
-                    wall: s.wall,
-                    dropped_loss: 0,
-                    dropped_partition: 0,
-                    duplicated: 0,
-                    reordered: 0,
-                    dropped_unroutable: 0,
-                    max_queue_depth: 0,
-                    max_sched_depth: 0,
-                    allocs: s.allocs,
-                };
-                for sim in &s.shards {
-                    let st = sim.sim_stats();
-                    agg.events_processed += st.events_processed;
-                    agg.dropped_loss += st.dropped_loss;
-                    agg.dropped_partition += st.dropped_partition;
-                    agg.duplicated += st.duplicated;
-                    agg.reordered += st.reordered;
-                    agg.dropped_unroutable += st.dropped_unroutable;
-                    agg.max_queue_depth = agg.max_queue_depth.max(st.max_queue_depth);
-                    agg.max_sched_depth = agg.max_sched_depth.max(st.max_sched_depth);
-                }
-                debug_assert_eq!(agg.events_processed, s.events, "mirror out of step");
-                agg
-            }
-        }
-    }
-
-    /// Statistics of a node (see [`Sim::stats`]).
-    pub fn stats(&self, node: NodeId) -> Option<&NodeStats> {
-        match &self.mode {
-            Mode::Sequential(sim) => sim.stats(node),
-            Mode::Sharded(s) => s.shards[s.shard_for(node)?].stats(node),
-        }
-    }
-
-    /// Whether a node is currently up.
-    pub fn is_up(&self, node: NodeId) -> bool {
-        match &self.mode {
-            Mode::Sequential(sim) => sim.is_up(node),
-            Mode::Sharded(s) => s
-                .shard_for(node)
-                .map(|i| s.shards[i].is_up(node))
-                .unwrap_or(false),
-        }
-    }
-
-    /// Downcasts a node to retrieve results (see [`Sim::node_as`]).
-    pub fn node_as<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        match &mut self.mode {
-            Mode::Sequential(sim) => sim.node_as(id),
-            Mode::Sharded(s) => {
-                let shard = s.shard_for(id)?;
-                s.shards[shard].node_as(id)
-            }
-        }
-    }
-
-    /// Time of the next scheduled event, if any (see
-    /// [`Sim::next_event_at`]). In sharded mode the mirror wheel holds
-    /// exactly the global pending set, so this is the true global
-    /// minimum.
-    pub fn next_event_at(&self) -> Option<Instant> {
-        match &self.mode {
-            Mode::Sequential(sim) => sim.next_event_at(),
-            Mode::Sharded(s) => s.mirror.min_key().map(|k| k.at),
-        }
-    }
-
-    /// Mutable access to the link table. In sharded mode this edits the
-    /// master copy; shards resync before the next run. Panics at that
-    /// resync if the edit made the links sequence-sensitive (configure
-    /// jitter/faults before construction so the engine can degrade to
-    /// sequential execution instead).
-    pub fn links_mut(&mut self) -> &mut Links {
-        match &mut self.mode {
-            Mode::Sequential(sim) => sim.links_mut(),
-            Mode::Sharded(s) => {
-                s.links_dirty = true;
-                &mut s.links
-            }
-        }
+        assert_eq!(shard, 0, "{REMOVED}");
+        self.0.add_node(id, node);
     }
 }
 
-impl<M: Clone + Send + 'static> Sharded<M> {
-    /// Owning shard of a registered node.
-    fn shard_for(&self, node: NodeId) -> Option<usize> {
-        match self.shard_of.get(node.raw() as usize) {
-            Some(&s) if s != NO_SHARD => Some(s as usize),
-            _ => None,
-        }
-    }
+impl<M> Deref for ShardedSim<M> {
+    type Target = Sim<M>;
 
-    /// Coordinator-side push (injections between runs): assigns the next
-    /// global sequence and records the event in both the mirror and its
-    /// owning shard's wheel — mirroring exactly what the sequential
-    /// engine's own `push` would have assigned.
-    fn push_global(&mut self, at: Instant, kind: EventKind<M>) {
-        let target = kind.target();
-        let dest = self
-            .shard_of
-            .get(target.raw() as usize)
-            .copied()
-            .unwrap_or(NO_SHARD);
-        // Unregistered target: dispatch on shard 0, where it counts as
-        // unroutable exactly once, like the sequential engine would.
-        let dest = if dest == NO_SHARD { 0 } else { dest as usize };
-        let key = SchedKey { at, seq: self.gseq };
-        self.gseq += 1;
-        self.mirror.push(key, dest as u32);
-        self.shards[dest].push_keyed(key, kind);
-    }
-
-    /// Re-propagates a dirty master link table and refreshed shard maps.
-    fn resync(&mut self) {
-        if self.links_dirty {
-            assert!(
-                !self.links.sequence_sensitive(),
-                "link table became sequence-sensitive (jitter or fault probabilities) \
-                 after a sharded simulation was built; configure faults before \
-                 constructing the ShardedSim so it can degrade to sequential execution"
-            );
-            for sim in &mut self.shards {
-                *sim.links_mut() = self.links.clone();
-            }
-            self.links_dirty = false;
-            self.lookahead = None;
-        }
-        if self.maps_dirty {
-            for (i, sim) in self.shards.iter_mut().enumerate() {
-                sim.set_window(i as u32, Arc::clone(&self.shard_of));
-            }
-            self.maps_dirty = false;
-        }
-    }
-
-    /// Minimum latency over all directed cross-shard node pairs — the
-    /// conservative lookahead. `None` when no cross-shard pair exists
-    /// (only one shard is populated): windows are then bounded by the
-    /// deadline alone. The O(N²) scan over registered nodes runs only
-    /// when nodes or links changed; N is the cluster node count (tens),
-    /// not the UE population.
-    fn lookahead(&mut self) -> Option<Duration> {
-        if let Some(cached) = self.lookahead {
-            return cached;
-        }
-        let mut min: Option<Duration> = None;
-        for (i, from_members) in self.members.iter().enumerate() {
-            for (j, to_members) in self.members.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                for &a in from_members {
-                    for &b in to_members {
-                        let lat = self.links.get(a, b).latency;
-                        min = Some(min.map_or(lat, |m| m.min(lat)));
-                    }
-                }
-            }
-        }
-        if let Some(l) = min {
-            assert!(
-                l != Duration::ZERO,
-                "cross-shard links must have non-zero latency to derive a conservative \
-                 window; co-locate zero-latency neighbors on one shard or run with \
-                 shards = 1"
-            );
-        }
-        self.lookahead = Some(min);
-        min
-    }
-
-    fn run_until(&mut self, deadline: Instant) -> Instant {
-        // The coordinator's only wall-clock read: one start sample per
-        // call, observability-only, never feeds simulated state.
-        // lint-allow(wall-clock): observability-only events/sec wall timer; never feeds simulated state
-        let wall_start = std::time::Instant::now();
-        let alloc_start = crate::alloc_count::current();
-        self.resync();
-        let lookahead = self.lookahead();
-        let due = self.mirror.min_key().map(|k| k.at <= deadline).unwrap_or(false);
-        if due {
-            self.run_windows(deadline, lookahead);
-        }
-        self.wall += wall_start.elapsed();
-        self.allocs += crate::alloc_count::current().wrapping_sub(alloc_start);
-        self.now
-    }
-
-    /// The window loop: one scoped worker thread per shard, commands and
-    /// results over channels, a barrier replay between windows.
-    fn run_windows(&mut self, deadline: Instant, lookahead: Option<Duration>) {
-        let Sharded {
-            shards,
-            mirror,
-            gseq,
-            now,
-            events,
-            config,
-            ..
-        } = self;
-        let n = shards.len();
-        let max_events = config.max_events;
-        thread::scope(|scope| {
-            let (res_tx, res_rx) = mpsc::channel::<(usize, Result<WindowOut<M>, Panic>)>();
-            let mut cmd_txs = Vec::with_capacity(n);
-            for (idx, sim) in shards.iter_mut().enumerate() {
-                let (tx, rx) = mpsc::channel::<Cmd<M>>();
-                cmd_txs.push(tx);
-                let res_tx = res_tx.clone();
-                scope.spawn(move || worker(idx, sim, rx, res_tx));
-            }
-            drop(res_tx);
-            while let Some(first) = mirror.min_key() {
-                if first.at > deadline {
-                    break;
-                }
-                let bound = window_bound(first.at, lookahead, deadline);
-                for tx in &cmd_txs {
-                    tx.send(Cmd::Window(bound)).expect("shard worker alive");
-                }
-                let mut outs: Vec<Option<ShardLog<M>>> = (0..n).map(|_| None).collect();
-                let mut failure: Option<(usize, Panic)> = None;
-                for _ in 0..n {
-                    let (idx, res) = res_rx.recv().expect("shard worker alive");
-                    match res {
-                        Ok(out) => outs[idx] = Some(ShardLog::new(out)),
-                        Err(p) => {
-                            // Keep the lowest shard index so a multi-shard
-                            // failure surfaces deterministically.
-                            if failure.as_ref().map(|(i, _)| idx < *i).unwrap_or(true) {
-                                failure = Some((idx, p));
-                            }
-                        }
-                    }
-                }
-                if let Some((_, payload)) = failure {
-                    // Dropping the command channels lets surviving workers
-                    // exit before the scope joins them during unwind.
-                    drop(cmd_txs);
-                    std::panic::resume_unwind(payload);
-                }
-                let mut outs: Vec<ShardLog<M>> = outs
-                    .into_iter()
-                    .map(|o| o.expect("every shard reported"))
-                    .collect();
-
-                // Barrier replay: reconstruct the global dispatch order
-                // and assign the sequence numbers the sequential engine
-                // would have handed out (module docs).
-                let mut inbound: Vec<Vec<(SchedKey, EventKind<M>)>> =
-                    (0..n).map(|_| Vec::new()).collect();
-                while let Some(k) = mirror.peek_key() {
-                    if k.at > bound {
-                        break;
-                    }
-                    let (key, shard) = mirror.pop().expect("peeked");
-                    *events += 1;
-                    *now = key.at;
-                    let log = &mut outs[shard as usize];
-                    let rec = log
-                        .dispatches
-                        .next()
-                        .expect("shard dispatched every due event");
-                    debug_assert_eq!(rec.at, key.at, "dispatch log out of step");
-                    for _ in 0..rec.pushes {
-                        let p = log.pushes.next().expect("push log out of step");
-                        let pkey = SchedKey {
-                            at: p.at(),
-                            seq: *gseq,
-                        };
-                        *gseq += 1;
-                        match p {
-                            PushRec::Local { .. } => mirror.push(pkey, shard),
-                            PushRec::Deferred { .. } => {
-                                let (at, kind) = log.deferred.next().expect("deferred body");
-                                debug_assert_eq!(at, pkey.at);
-                                mirror.push(pkey, shard);
-                                inbound[shard as usize].push((pkey, kind));
-                            }
-                            PushRec::Export { dest, .. } => {
-                                let (d, at, kind) = log.exports.next().expect("export body");
-                                debug_assert_eq!(d, dest);
-                                debug_assert_eq!(at, pkey.at);
-                                debug_assert!(
-                                    at > bound,
-                                    "conservative lookahead violated: cross-shard event \
-                                     lands inside its own window"
-                                );
-                                mirror.push(pkey, dest);
-                                inbound[dest as usize].push((pkey, kind));
-                            }
-                        }
-                    }
-                }
-                for log in &mut outs {
-                    debug_assert!(
-                        log.dispatches.next().is_none()
-                            && log.pushes.next().is_none()
-                            && log.deferred.next().is_none()
-                            && log.exports.next().is_none(),
-                        "window log not fully consumed"
-                    );
-                }
-                // Shards check the budget per event against their local
-                // count (catching one shard in a feedback loop); the sum
-                // is checked here so the combined run can't exceed it.
-                if *events > max_events {
-                    panic!(
-                        "event budget of {max_events} exhausted at virtual time {:.3}ms \
-                         summed across {n} shards — runaway feedback loop, or raise \
-                         SimConfig::max_events",
-                        now.as_millis_f64(),
-                    );
-                }
-                for (idx, batch) in inbound.into_iter().enumerate() {
-                    if !batch.is_empty() {
-                        cmd_txs[idx]
-                            .send(Cmd::Finalize(batch))
-                            .expect("shard worker alive");
-                    }
-                }
-            }
-            // Closing the command channels ends the worker loops; the
-            // scope joins them (any pending Finalize drains first).
-            drop(cmd_txs);
-        });
+    fn deref(&self) -> &Sim<M> {
+        &self.0
     }
 }
 
-/// Inclusive window bound: `min(deadline, t0 + L − 1 ns)`, saturating.
-fn window_bound(t0: Instant, lookahead: Option<Duration>, deadline: Instant) -> Instant {
-    let horizon = match lookahead {
-        None => Instant::FAR_FUTURE,
-        Some(l) => Instant::from_nanos(
-            t0.as_nanos()
-                .saturating_add(l.as_nanos())
-                .saturating_sub(1),
-        ),
-    };
-    horizon.min(deadline)
-}
-
-/// A shard worker: runs windows and admits merged events on command.
-/// Panics inside a window (event budget, node handler bugs) are caught
-/// and shipped to the coordinator so sibling shards shut down cleanly
-/// instead of deadlocking the barrier.
-fn worker<M: Clone + 'static>(
-    idx: usize,
-    sim: &mut Sim<M>,
-    rx: mpsc::Receiver<Cmd<M>>,
-    res_tx: mpsc::Sender<(usize, Result<WindowOut<M>, Panic>)>,
-) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Window(bound) => {
-                let res =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run_window(bound)));
-                let dead = res.is_err();
-                if res_tx.send((idx, res)).is_err() || dead {
-                    break;
-                }
-            }
-            Cmd::Finalize(batch) => {
-                for (key, kind) in batch {
-                    sim.push_keyed(key, kind);
-                }
-            }
-        }
+impl<M> DerefMut for ShardedSim<M> {
+    fn deref_mut(&mut self) -> &mut Sim<M> {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{NodeEvent, Outbox};
-    use crate::links::{FaultSpec, LinkSpec};
-    use std::any::Any;
+    use crate::LinkSpec;
+    use neutrino_common::time::Duration;
 
-    /// Forwards every message to a fixed peer after a service time,
-    /// recording `(msg, at)` in arrival order.
-    struct Relay {
-        peer: NodeId,
-        service: Duration,
-        seen: Vec<(u64, Instant)>,
-        hops_left: u64,
+    fn links() -> Links {
+        Links::with_default(LinkSpec::fixed(Duration::from_micros(5)))
     }
 
-    impl Node<u64> for Relay {
-        fn service_time(&self, _msg: &u64) -> Duration {
-            self.service
-        }
-        fn handle(&mut self, event: NodeEvent<u64>, out: &mut Outbox<u64>) {
-            if let NodeEvent::Message { msg, .. } = event {
-                self.seen.push((msg, out.now()));
-                if self.hops_left > 0 {
-                    self.hops_left -= 1;
-                    out.send(self.peer, msg + 1);
-                }
+    #[test]
+    #[should_panic(expected = "region-sharded engine was removed")]
+    fn more_than_one_shard_is_rejected() {
+        let _ = ShardedSim::<u64>::with_config(links(), SimConfig::default(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "region-sharded engine was removed")]
+    fn a_nonzero_shard_index_is_rejected() {
+        struct Idle;
+        impl Node<u64> for Idle {
+            fn service_time(&self, _msg: &u64) -> Duration {
+                Duration::ZERO
+            }
+            fn handle(&mut self, _event: crate::NodeEvent<u64>, _out: &mut crate::Outbox<u64>) {}
+            fn as_any(&mut self) -> &mut dyn std::any::Any {
+                self
             }
         }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    fn cross_shard_links() -> Links {
-        // 500µs everywhere: every hop crosses the window bound.
-        Links::with_default(LinkSpec::fixed(Duration::from_micros(500)))
-    }
-
-    /// Two relays ping-ponging across shards must see the same messages
-    /// at the same times as the sequential engine.
-    #[test]
-    fn two_shard_ping_pong_matches_sequential() {
-        let build = |shards: usize| {
-            let mut sim = ShardedSim::new(cross_shard_links(), shards);
-            let a = NodeId::new(1);
-            let b = NodeId::new(1000);
-            sim.add_node(
-                a,
-                Box::new(Relay {
-                    peer: b,
-                    service: Duration::from_micros(3),
-                    seen: Vec::new(),
-                    hops_left: 20,
-                }),
-                0,
-            );
-            sim.add_node(
-                b,
-                Box::new(Relay {
-                    peer: a,
-                    service: Duration::from_micros(7),
-                    seen: Vec::new(),
-                    hops_left: 20,
-                }),
-                shards.saturating_sub(1),
-            );
-            sim.inject_at(Instant::ZERO, a, 0);
-            sim.run_to_completion();
-            let seen_a = sim.node_as::<Relay>(a).unwrap().seen.clone();
-            let seen_b = sim.node_as::<Relay>(b).unwrap().seen.clone();
-            (seen_a, seen_b, sim.now(), sim.events_processed())
-        };
-        let sequential = build(1);
-        let sharded = build(2);
-        assert_eq!(sequential, sharded);
-    }
-
-    /// A sequence-sensitive link table (fault probabilities) must degrade
-    /// to sequential execution.
-    #[test]
-    fn faulty_links_degrade_to_sequential() {
-        let mut links = cross_shard_links();
-        links.set_fault_default(FaultSpec {
-            loss: 0.1,
-            ..FaultSpec::NONE
-        });
-        let sim: ShardedSim<u64> = ShardedSim::new(links, 4);
-        assert!(!sim.is_sharded());
-        assert_eq!(sim.shard_count(), 1);
-        // Jitter-free, fault-free links shard for real.
-        let sim: ShardedSim<u64> = ShardedSim::new(cross_shard_links(), 4);
-        assert!(sim.is_sharded());
-        assert_eq!(sim.shard_count(), 4);
-    }
-
-    /// Zero-latency cross-shard links cannot derive a window; the run
-    /// must refuse loudly rather than diverge.
-    #[test]
-    #[should_panic(expected = "non-zero latency")]
-    fn zero_lookahead_panics_with_guidance() {
-        let mut sim = ShardedSim::new(Links::with_default(LinkSpec::fixed(Duration::ZERO)), 2);
-        for (i, shard) in [(1u64, 0usize), (2, 1)] {
-            sim.add_node(
-                NodeId::new(i),
-                Box::new(Relay {
-                    peer: NodeId::new(3 - i),
-                    service: Duration::ZERO,
-                    seen: Vec::new(),
-                    hops_left: 1,
-                }),
-                shard,
-            );
-        }
-        sim.inject_at(Instant::ZERO, NodeId::new(1), 0);
-        sim.run_to_completion();
-    }
-
-    /// Crash/recover injected through the coordinator must land on the
-    /// owning shard and replay like the sequential engine.
-    #[test]
-    fn crash_recover_across_shards_matches_sequential() {
-        let run = |shards: usize| {
-            let mut sim = ShardedSim::new(cross_shard_links(), shards);
-            let a = NodeId::new(1);
-            let b = NodeId::new(1000);
-            sim.add_node(
-                a,
-                Box::new(Relay {
-                    peer: b,
-                    service: Duration::from_micros(5),
-                    seen: Vec::new(),
-                    hops_left: 50,
-                }),
-                0,
-            );
-            sim.add_node(
-                b,
-                Box::new(Relay {
-                    peer: a,
-                    service: Duration::from_micros(5),
-                    seen: Vec::new(),
-                    hops_left: 50,
-                }),
-                shards.saturating_sub(1),
-            );
-            sim.inject_at(Instant::ZERO, a, 0);
-            // Kill b mid-conversation, then bring it back.
-            sim.crash_at(Instant::from_micros(1_800), b);
-            sim.recover_at(Instant::from_micros(2_600), b);
-            sim.run_to_completion();
-            let st = sim.sim_stats();
-            (
-                sim.node_as::<Relay>(a).unwrap().seen.clone(),
-                sim.now(),
-                st.events_processed,
-                st.dropped_unroutable,
-            )
-        };
-        assert_eq!(run(1), run(2));
-    }
-
-    /// The sharded run must pause exactly at a deadline and resume — the
-    /// check harness drives the engine in segments.
-    #[test]
-    fn segmented_runs_match_one_shot() {
-        let build = |shards: usize| {
-            let mut sim = ShardedSim::new(cross_shard_links(), shards);
-            let a = NodeId::new(1);
-            let b = NodeId::new(1000);
-            sim.add_node(
-                a,
-                Box::new(Relay {
-                    peer: b,
-                    service: Duration::from_micros(3),
-                    seen: Vec::new(),
-                    hops_left: 30,
-                }),
-                0,
-            );
-            sim.add_node(
-                b,
-                Box::new(Relay {
-                    peer: a,
-                    service: Duration::from_micros(3),
-                    seen: Vec::new(),
-                    hops_left: 30,
-                }),
-                shards.saturating_sub(1),
-            );
-            sim.inject_at(Instant::ZERO, a, 0);
-            sim
-        };
-        let mut one_shot = build(2);
-        one_shot.run_to_completion();
-        let mut segmented = build(2);
-        let mut t = Instant::from_micros(700);
-        loop {
-            segmented.run_until(t);
-            let Some(next) = segmented.next_event_at() else { break };
-            t = next.max(t + Duration::from_micros(700));
-        }
-        segmented.run_to_completion();
-        assert_eq!(
-            one_shot.node_as::<Relay>(NodeId::new(1)).unwrap().seen,
-            segmented.node_as::<Relay>(NodeId::new(1)).unwrap().seen,
-        );
-        assert_eq!(one_shot.events_processed(), segmented.events_processed());
+        let mut sim = ShardedSim::<u64>::with_config(links(), SimConfig::default(), 1);
+        sim.add_node(NodeId::new(1), Box::new(Idle), 1);
     }
 }

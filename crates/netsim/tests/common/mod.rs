@@ -1,21 +1,10 @@
-//! Shards-identity property: the region-sharded PDES engine dispatches
-//! random multi-region topologies in exactly the `(at, seq)` order of the
-//! sequential engine — observed through per-node arrival logs (sender,
-//! payload, virtual time), final clock, event counts, and drop counters —
-//! across `shards = 1 / 2 / 4`.
-//!
-//! This is the sharded engine's whole contract, the same bar
-//! `wheel_order.rs` holds the calendar wheel to: the engine runs shards
-//! in parallel on the promise that no golden, corpus replay, or identity
-//! pin can observe the difference. The generators deliberately stress the
-//! merge machinery: equal-time ties across shards (broken by the
-//! reconstructed global push order), zero-delay self-sends inside a
-//! window, timers straddling window bounds, crash/recover events owned by
-//! a single shard, and fan-out chains that hop between regions on every
-//! step.
+//! The random multi-region walker topology shared by the engine property
+//! tests: every node logs each arrival and forwards messages along a
+//! deterministic pseudo-random walk, with timer detours, equal-time ties,
+//! zero-delay hops and an optional crash/recover mixed into every run.
 
 use neutrino_common::time::{Duration, Instant};
-use neutrino_netsim::{LinkSpec, Links, Node, NodeEvent, NodeId, Outbox, ShardedSim};
+use neutrino_netsim::{LinkSpec, Links, Node, NodeEvent, NodeId, Outbox, Sim};
 use proptest::prelude::*;
 use std::any::Any;
 
@@ -27,16 +16,14 @@ fn mix(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A node that logs every arrival and forwards messages along a
-/// deterministic pseudo-random walk over the whole topology. The message
+/// Logs every arrival and forwards along a pseudo-random walk. The message
 /// word packs a TTL in the high bits and a routing state in the low bits,
-/// so the walk is a pure function of the injected seed — identical in any
-/// engine that delivers in the same order.
-struct Walker {
+/// so the walk is a pure function of the injected seeds and the engine's
+/// dispatch order. Even-TTL hops detour through a timer, so non-delivery
+/// events interleave with deliveries.
+pub struct Walker {
     all: Vec<NodeId>,
     service: Duration,
-    /// Self-timer delay; TTL-even hops arm a timer that re-sends, putting
-    /// `Timer` events and window-bound straddles into every run.
     timer_delay: Duration,
     log: Vec<(NodeId, u64, Instant)>,
     pending: Vec<u64>,
@@ -60,8 +47,6 @@ impl Node<u64> for Walker {
                 let state = mix(msg);
                 let next = ((ttl - 1) << TTL_SHIFT) | (state & ((1 << TTL_SHIFT) - 1));
                 if ttl.is_multiple_of(2) {
-                    // Detour through a timer so Timer events interleave
-                    // with deliveries at reconstructed global order.
                     self.pending.push(next);
                     out.set_timer(self.timer_delay, next);
                 } else {
@@ -70,7 +55,6 @@ impl Node<u64> for Walker {
                 }
             }
             NodeEvent::Timer { id } => {
-                // `id` carries the message to forward.
                 if let Some(pos) = self.pending.iter().position(|&m| m == id) {
                     self.pending.swap_remove(pos);
                     let state = mix(id);
@@ -78,9 +62,9 @@ impl Node<u64> for Walker {
                     out.send(to, id);
                 }
             }
+            // Self-enqueued recovery work: the node must start serving it
+            // without waiting for an external event.
             NodeEvent::Recovered => {
-                // Self-enqueued recovery work (pins the Recover
-                // try_start_jobs fix in the sharded path too).
                 out.send(self.all[0], 1 << TTL_SHIFT);
             }
         }
@@ -91,36 +75,38 @@ impl Node<u64> for Walker {
     }
 }
 
+/// A crash and later recovery of one node: (node index, crash µs, down µs).
+pub type Fault = (usize, u64, u64);
+
 /// A generated topology plus its workload schedule.
 #[derive(Clone, Debug)]
-struct Scenario {
-    /// Nodes per region (region index = position).
-    region_sizes: Vec<usize>,
-    /// Intra-region link latency in µs (per region).
-    intra_us: Vec<u64>,
-    /// Cross-region default latency in µs (the lookahead floor).
-    cross_us: u64,
-    /// Per-node service time in ns.
-    service_ns: u64,
-    /// Timer detour delay in µs.
-    timer_us: u64,
+pub struct Scenario {
+    pub region_sizes: Vec<usize>,
+    pub intra_us: Vec<u64>,
+    pub cross_us: u64,
+    pub service_ns: u64,
+    pub timer_us: u64,
     /// Seed injections: (time µs, node index, ttl, seed).
-    injections: Vec<(u64, usize, u64, u64)>,
-    /// Optional crash/recover on one node: (node index, crash µs, down µs).
-    fault: Option<(usize, u64, u64)>,
+    pub injections: Vec<(u64, usize, u64, u64)>,
+    pub fault: Option<Fault>,
 }
 
-fn scenario_strategy() -> impl Strategy<Value = Scenario> {
+pub fn fault_strategy() -> impl Strategy<Value = Fault> {
+    (0usize..64, 100u64..3_000, 1u64..2_000)
+}
+
+pub fn scenario_strategy(
+    fault: impl Strategy<Value = Option<Fault>>,
+) -> impl Strategy<Value = Scenario> {
     (
         (
             proptest::collection::vec(1usize..4, 2..5),
-            // One intra-region latency per possible region (extras unused).
             proptest::collection::vec(1u64..80, 4usize),
             100u64..600,
         ),
         (1u64..5_000, 1u64..400),
         proptest::collection::vec((0u64..2_000, 0usize..64, 1u64..24, any::<u64>()), 1..8),
-        proptest::option::of((0usize..64, 100u64..3_000, 1u64..2_000)),
+        fault,
     )
         .prop_map(
             |((region_sizes, intra_us, cross_us), (service_ns, timer_us), injections, fault)| {
@@ -137,8 +123,6 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         )
 }
 
-/// Node ids band by region like the cluster does (region r, index i →
-/// 1 + r·1000 + i), exercising the sparse raw-id → shard map.
 fn node_ids(region_sizes: &[usize]) -> Vec<(NodeId, usize)> {
     let mut out = Vec::new();
     for (r, &size) in region_sizes.iter().enumerate() {
@@ -149,19 +133,7 @@ fn node_ids(region_sizes: &[usize]) -> Vec<(NodeId, usize)> {
     out
 }
 
-/// Builds the scenario against `shards` shards and runs it to completion;
-/// returns every observable: per-node logs, clock, event count, and the
-/// order-sensitive drop counters.
-#[allow(clippy::type_complexity)]
-fn run(
-    sc: &Scenario,
-    shards: usize,
-) -> (
-    Vec<Vec<(NodeId, u64, Instant)>>,
-    Instant,
-    u64,
-    (u64, u64, u64),
-) {
+pub fn build(sc: &Scenario) -> (Sim<u64>, Vec<NodeId>) {
     let ids = node_ids(&sc.region_sizes);
     let mut links = Links::with_default(LinkSpec::fixed(Duration::from_micros(sc.cross_us)));
     for (a, ra) in &ids {
@@ -175,10 +147,9 @@ fn run(
             }
         }
     }
-    let mut sim = ShardedSim::new(links, shards);
-    assert_eq!(sim.is_sharded(), shards > 1);
+    let mut sim = Sim::new(links);
     let all: Vec<NodeId> = ids.iter().map(|(id, _)| *id).collect();
-    for (id, region) in &ids {
+    for (id, _) in &ids {
         sim.add_node(
             *id,
             Box::new(Walker {
@@ -188,7 +159,6 @@ fn run(
                 log: Vec::new(),
                 pending: Vec::new(),
             }),
-            region % shards.max(1),
         );
     }
     for &(at_us, node, ttl, seed) in &sc.injections {
@@ -201,31 +171,56 @@ fn run(
         sim.crash_at(Instant::from_micros(crash_us), victim);
         sim.recover_at(Instant::from_micros(crash_us + down_us), victim);
     }
-    sim.run_to_completion();
+    (sim, all)
+}
+
+/// Per-node engine counters: processed, dropped while down, dropped by a
+/// crash, timers fired, and whether the node is up at the end.
+pub type NodeCounters = (u64, u64, u64, u64, bool);
+
+/// Everything a run exposes.
+#[derive(Debug, PartialEq)]
+pub struct Observables {
+    /// Per-node arrival logs: (sender, payload, virtual time).
+    pub logs: Vec<Vec<(NodeId, u64, Instant)>>,
+    pub counters: Vec<NodeCounters>,
+    pub now: Instant,
+    pub events: u64,
+    /// Unroutable, partitioned and lost transmissions.
+    pub drops: (u64, u64, u64),
+}
+
+pub fn observe(sim: &mut Sim<u64>, all: &[NodeId]) -> Observables {
+    let counters = all
+        .iter()
+        .map(|&id| {
+            let s = sim.stats(id).unwrap();
+            (
+                s.processed,
+                s.dropped_down,
+                s.dropped_crash,
+                s.timers,
+                sim.is_up(id),
+            )
+        })
+        .collect();
     let logs = all
         .iter()
         .map(|&id| sim.node_as::<Walker>(id).unwrap().log.clone())
         .collect();
     let st = sim.sim_stats();
-    (
+    Observables {
         logs,
-        sim.now(),
-        sim.events_processed(),
-        (st.dropped_unroutable, st.dropped_partition, st.dropped_loss),
-    )
+        counters,
+        now: sim.now(),
+        events: sim.events_processed(),
+        drops: (st.dropped_unroutable, st.dropped_partition, st.dropped_loss),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random multi-region topologies observe byte-identical behaviour
-    /// under `shards = 1`, `2`, and `4`.
-    #[test]
-    fn sharded_dispatch_matches_sequential(sc in scenario_strategy()) {
-        let sequential = run(&sc, 1);
-        let two = run(&sc, 2);
-        prop_assert_eq!(&sequential, &two);
-        let four = run(&sc, 4);
-        prop_assert_eq!(&sequential, &four);
-    }
+/// Runs through the plain sequential loop in one `run_to_completion`.
+pub fn run_plain(sc: &Scenario) -> Observables {
+    let (mut sim, all) = build(sc);
+    sim.run_to_completion();
+    observe(&mut sim, &all)
 }

@@ -1,6 +1,12 @@
 //! Property-based tests of the discrete-event engine: conservation, queue
-//! discipline, and work accounting over random workloads.
+//! discipline, and work accounting over random workloads; and run-loop
+//! segmentation: stopping and resuming `run_until` at arbitrary points,
+//! across a crash and a recovery, dispatches exactly what one
+//! `run_to_completion` does.
 
+mod common;
+
+use common::{build, fault_strategy, observe, run_plain, scenario_strategy, Observables, Scenario};
 use neutrino_common::time::{Duration, Instant};
 use neutrino_netsim::{LinkSpec, Links, Node, NodeEvent, NodeId, Outbox, Sim};
 use proptest::prelude::*;
@@ -28,6 +34,22 @@ impl Node<u64> for Sink {
     fn as_any(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// Runs to each of `cuts` in turn, then steps through the rest with
+/// `next_event_at`, stopping `gaps_us` (cycled) past each next event.
+fn run_segmented(sc: &Scenario, cuts: &[Instant], gaps_us: &[u64]) -> Observables {
+    let (mut sim, all) = build(sc);
+    for &cut in cuts {
+        sim.run_until(cut);
+    }
+    for gap in gaps_us.iter().cycle() {
+        let Some(next) = sim.next_event_at() else {
+            break;
+        };
+        sim.run_until(next + Duration::from_micros(*gap));
+    }
+    observe(&mut sim, &all)
 }
 
 proptest! {
@@ -121,5 +143,35 @@ proptest! {
             n,
             "every message is either processed or accounted as dropped"
         );
+    }
+
+    /// A run split into random `run_until` segments, stepping with
+    /// `next_event_at`, dispatches the same per-node trace and the same
+    /// event count as one `run_to_completion`.
+    #[test]
+    fn segmented_run_matches_one_shot(
+        sc in scenario_strategy(proptest::option::of(fault_strategy())),
+        cuts_us in proptest::collection::vec(0u64..4_000, 0..6),
+        gaps_us in proptest::collection::vec(0u64..300, 1..6),
+    ) {
+        let mut cuts: Vec<Instant> = cuts_us.into_iter().map(Instant::from_micros).collect();
+        cuts.sort();
+        prop_assert_eq!(run_segmented(&sc, &cuts, &gaps_us), run_plain(&sc));
+    }
+
+    /// A crash and a later recovery in the middle of a segmented run, with
+    /// a stop at the crash and one inside the down window, match the
+    /// one-shot run.
+    #[test]
+    fn crash_and_recover_mid_run_match_one_shot(
+        sc in scenario_strategy(fault_strategy().prop_map(Some)),
+        gaps_us in proptest::collection::vec(0u64..300, 1..6),
+    ) {
+        let (_, crash_us, down_us) = sc.fault.unwrap();
+        let crash = Instant::from_micros(crash_us);
+        let cuts = [crash, crash + Duration::from_nanos(down_us * 500)];
+        let expect = run_plain(&sc);
+        prop_assert!(expect.counters.iter().all(|c| c.4), "every node ends up");
+        prop_assert_eq!(run_segmented(&sc, &cuts, &gaps_us), expect);
     }
 }

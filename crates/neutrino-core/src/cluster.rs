@@ -58,9 +58,8 @@ impl Default for LinkProfile {
 
 /// A built simulation plus its id maps.
 pub struct Cluster {
-    /// The simulator: region-sharded when built with `shards > 1` and the
-    /// link table is jitter- and fault-free, sequential otherwise — either
-    /// way byte-identical event order.
+    /// The simulator. Typed `ShardedSim` (a newtype that derefs to the
+    /// sequential `Sim`) only for the benchmark package's API.
     pub sim: ShardedSim<SimMsg>,
     /// The deployment it models.
     pub deployment: Deployment,
@@ -85,13 +84,14 @@ impl Cluster {
             links_profile,
             SimConfig::default(),
             0,
-            crate::experiment::shards(),
+            1,
         )
     }
 
     /// [`Cluster::build`] with an explicit engine config (runaway-event
-    /// budget), jitter seed, and engine shard count; `run_experiment`
-    /// derives all three per cell.
+    /// budget) and jitter seed; `run_experiment` derives both per cell.
+    /// The trailing `shards` exists only for the benchmark package's API
+    /// and must be 1: the region-sharded engine was removed.
     #[allow(clippy::too_many_arguments)]
     pub fn build_with_sim(
         config: SystemConfig,
@@ -155,16 +155,10 @@ impl Cluster {
                 bss: r.bss.clone(),
             })
             .collect();
-        // The population shares shard 0 with region 0 (the entry point for
-        // all workload traffic), so the hot UE↔CTA path stays shard-local.
         sim.add_node(UEPOP_NODE, Box::new(UePopulation::new(uecfg, workload)), 0);
 
-        // Per-region control plane: each region's nodes land together on
-        // the shard `crates/geo` assigns it, so only the 500 µs
-        // inter-region links (and the population's cross-region fallback
-        // routes) cross shard boundaries.
+        // Per-region control plane.
         for region in deployment.regions() {
-            let shard = deployment.shard_of_region(region.id, shards);
             let ring = deployment
                 .ring_stack(region.id)
                 .expect("regions have rings");
@@ -191,7 +185,7 @@ impl Cluster {
                     config.logging,
                     Duration::from_secs(5),
                 )),
-                shard,
+                0,
             );
             let remote_peers: Vec<_> = deployment
                 .level2_siblings(region.id)
@@ -218,14 +212,14 @@ impl Cluster {
                 sim.add_node(
                     cpf_node(cpf),
                     Box::new(CpfNode::new(CpfCore::new(cpf_cfg), config.clone())),
-                    shard,
+                    0,
                 );
             }
             for &upf in &region.upfs {
                 sim.add_node(
                     upf_node(upf),
                     Box::new(UpfNode::new(UpfCore::with_cta(upf, region.cta), config.cpu)),
-                    shard,
+                    0,
                 );
             }
         }
@@ -329,8 +323,8 @@ impl Cluster {
     }
 
     /// Runs until `deadline`, consulting `chooser` at every point where
-    /// ≥2 deliveries are simultaneously enabled (small-model checking;
-    /// requires `shards = 1` — see `Sim::run_until_chosen`).
+    /// ≥2 deliveries are simultaneously enabled (small-model checking; see
+    /// `Sim::run_until_chosen`).
     pub fn run_until_chosen(
         &mut self,
         deadline: Instant,
@@ -514,5 +508,25 @@ impl Cluster {
             }
         }
         agg
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "region-sharded engine was removed")]
+    fn build_with_sim_rejects_more_than_one_shard() {
+        Cluster::build_with_sim(
+            SystemConfig::neutrino(),
+            RegionLayout::default(),
+            Workload::from_vec(Vec::new()),
+            UePopConfig::default(),
+            LinkProfile::default(),
+            SimConfig::default(),
+            0,
+            2,
+        );
     }
 }

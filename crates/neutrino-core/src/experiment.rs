@@ -14,23 +14,6 @@ use neutrino_messages::procedures::ProcedureKind;
 use neutrino_netsim::{SimConfig, SimStats};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Process-wide default for [`ExperimentSpec::shards`], settable once from
-/// a `--shards N` CLI flag before any spec is built (the same pattern the
-/// bench sweep uses for `--jobs`). Defaults to 1: sequential execution,
-/// byte-identical to the pre-sharding engine by construction.
-static DEFAULT_SHARDS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default engine shard count.
-pub fn set_shards(n: usize) {
-    DEFAULT_SHARDS.store(n.max(1), Ordering::SeqCst);
-}
-
-/// The process-wide default engine shard count.
-pub fn shards() -> usize {
-    DEFAULT_SHARDS.load(Ordering::SeqCst)
-}
 
 /// A CPF failure injection.
 #[derive(Debug, Clone, Copy)]
@@ -63,12 +46,8 @@ pub struct ExperimentSpec {
     /// seed are bit-identical; seed 0 (the default) reproduces the historic
     /// unseeded stream, so existing figures are unchanged.
     pub seed: u64,
-    /// Engine shards: regions are partitioned round-robin onto this many
-    /// parallel sub-engines whose merged dispatch order is byte-identical
-    /// to the sequential engine (see `neutrino_netsim::shard`). Defaults
-    /// to the process-wide [`set_shards`] value; 1 runs sequentially. The
-    /// engine itself degrades to sequential when jitter or faults make
-    /// the link table sequence-sensitive.
+    /// Exists only for the benchmark package's API and must be 1 (the
+    /// default): the region-sharded engine was removed.
     pub shards: usize,
 }
 
@@ -84,7 +63,7 @@ impl ExperimentSpec {
             uecfg: UePopConfig::default(),
             links: LinkProfile::default(),
             seed: 0,
-            shards: shards(),
+            shards: 1,
         }
     }
 }

@@ -12,7 +12,6 @@
 //! temporaries come from the same pool, keeping the steady-state encode
 //! path allocation-free.
 
-use bytes::{Buf, BufMut};
 use neutrino_codec::{scratch, CodecKind, WireFormat};
 use neutrino_common::clock::ClockTick;
 use neutrino_common::{BsId, CpfId, CtaId, Error, ProcedureId, Result, SessionId, UeId, UpfId};
@@ -76,17 +75,42 @@ fn proc_kind_from_code(code: u8) -> Result<ProcedureKind> {
         .ok_or_else(|| err(format!("bad procedure kind code {code}")))
 }
 
+/// Splits `N` bytes off the front of `buf`. Every caller checks the length
+/// first (`need`, `take_*`, or an explicit `len` test) and returns a
+/// framing error on short input, so a short buffer here is a bug.
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, tail) = buf.split_first_chunk::<N>().expect("length checked");
+    *buf = tail;
+    *head
+}
+
+fn get_u8(buf: &mut &[u8]) -> u8 {
+    u8::from_be_bytes(take(buf))
+}
+
+fn get_u16(buf: &mut &[u8]) -> u16 {
+    u16::from_be_bytes(take(buf))
+}
+
+fn get_u32(buf: &mut &[u8]) -> u32 {
+    u32::from_be_bytes(take(buf))
+}
+
+fn get_u64(buf: &mut &[u8]) -> u64 {
+    u64::from_be_bytes(take(buf))
+}
+
 fn put_block(buf: &mut Vec<u8>, bytes: &[u8]) {
-    buf.put_u32(bytes.len() as u32);
-    buf.put_slice(bytes);
+    buf.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    buf.extend_from_slice(bytes);
 }
 
 fn get_block<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
-    if buf.remaining() < 4 {
+    if buf.len() < 4 {
         return Err(err("truncated block length"));
     }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
+    let len = get_u32(buf) as usize;
+    if buf.len() < len {
         return Err(err("truncated block body"));
     }
     let (head, tail) = buf.split_at(len);
@@ -95,24 +119,24 @@ fn get_block<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
 }
 
 fn put_envelope(env: &Envelope, codec: &dyn WireFormat, buf: &mut Vec<u8>) -> Result<()> {
-    buf.put_u64(env.ue.raw());
-    buf.put_u64(env.procedure.raw());
-    buf.put_u8(proc_kind_code(env.proc_kind));
-    buf.put_u64(env.bs.raw());
+    buf.extend_from_slice(&env.ue.raw().to_be_bytes());
+    buf.extend_from_slice(&env.procedure.raw().to_be_bytes());
+    buf.push(proc_kind_code(env.proc_kind));
+    buf.extend_from_slice(&env.bs.raw().to_be_bytes());
     match env.via_cta {
         Some(c) => {
-            buf.put_u8(1);
-            buf.put_u64(c.raw());
+            buf.push(1);
+            buf.extend_from_slice(&c.raw().to_be_bytes());
         }
-        None => buf.put_u8(0),
+        None => buf.push(0),
     }
-    buf.put_u64(env.clock.raw());
-    buf.put_u8(match env.direction {
+    buf.extend_from_slice(&env.clock.raw().to_be_bytes());
+    buf.push(match env.direction {
         Direction::Uplink => 0,
         Direction::Downlink => 1,
     });
-    buf.put_u8(u8::from(env.end_of_procedure));
-    buf.put_u16(kind_code(env.msg.kind()));
+    buf.push(u8::from(env.end_of_procedure));
+    buf.extend_from_slice(&kind_code(env.msg.kind()).to_be_bytes());
     scratch::with_buf(|payload| {
         env.msg.encode(codec, payload)?;
         put_block(buf, payload);
@@ -122,17 +146,17 @@ fn put_envelope(env: &Envelope, codec: &dyn WireFormat, buf: &mut Vec<u8>) -> Re
 
 fn take_u64(buf: &mut &[u8]) -> Result<u64> {
     need(buf, 8)?;
-    Ok(buf.get_u64())
+    Ok(get_u64(buf))
 }
 
 fn take_u16(buf: &mut &[u8]) -> Result<u16> {
     need(buf, 2)?;
-    Ok(buf.get_u16())
+    Ok(get_u16(buf))
 }
 
 fn take_u8(buf: &mut &[u8]) -> Result<u8> {
     need(buf, 1)?;
-    Ok(buf.get_u8())
+    Ok(get_u8(buf))
 }
 
 fn get_envelope(buf: &mut &[u8], codec: &dyn WireFormat) -> Result<Envelope> {
@@ -194,124 +218,124 @@ pub fn encode_sysmsg(msg: &SysMsg, codec_kind: CodecKind, buf: &mut Vec<u8>) -> 
     buf.reserve(64);
     match msg {
         SysMsg::Control(env) => {
-            buf.put_u8(TAG_CONTROL);
+            buf.push(TAG_CONTROL);
             put_envelope(env, codec.as_ref(), buf)?;
         }
         SysMsg::StateSync(s) => {
-            buf.put_u8(TAG_STATE_SYNC);
-            buf.put_u64(s.ue.raw());
-            buf.put_u64(s.primary.raw());
-            buf.put_u64(s.cta.raw());
-            buf.put_u64(s.procedure.raw());
-            buf.put_u64(s.end_clock.raw());
-            buf.put_u8(match s.purpose {
+            buf.push(TAG_STATE_SYNC);
+            buf.extend_from_slice(&s.ue.raw().to_be_bytes());
+            buf.extend_from_slice(&s.primary.raw().to_be_bytes());
+            buf.extend_from_slice(&s.cta.raw().to_be_bytes());
+            buf.extend_from_slice(&s.procedure.raw().to_be_bytes());
+            buf.extend_from_slice(&s.end_clock.raw().to_be_bytes());
+            buf.push(match s.purpose {
                 SyncPurpose::Checkpoint => 0,
                 SyncPurpose::Migration => 1,
             });
             put_state(&s.state, buf)?;
         }
         SysMsg::SyncAck(a) => {
-            buf.put_u8(TAG_SYNC_ACK);
-            buf.put_u64(a.ue.raw());
-            buf.put_u64(a.replica.raw());
-            buf.put_u64(a.procedure.raw());
-            buf.put_u64(a.end_clock.raw());
+            buf.push(TAG_SYNC_ACK);
+            buf.extend_from_slice(&a.ue.raw().to_be_bytes());
+            buf.extend_from_slice(&a.replica.raw().to_be_bytes());
+            buf.extend_from_slice(&a.procedure.raw().to_be_bytes());
+            buf.extend_from_slice(&a.end_clock.raw().to_be_bytes());
         }
         SysMsg::MarkOutdated(m) => {
-            buf.put_u8(TAG_MARK_OUTDATED);
-            buf.put_u64(m.ue.raw());
-            buf.put_u64(m.clock.raw());
-            buf.put_u16(m.up_to_date.len() as u16);
+            buf.push(TAG_MARK_OUTDATED);
+            buf.extend_from_slice(&m.ue.raw().to_be_bytes());
+            buf.extend_from_slice(&m.clock.raw().to_be_bytes());
+            buf.extend_from_slice(&(m.up_to_date.len() as u16).to_be_bytes());
             for c in &m.up_to_date {
-                buf.put_u64(c.raw());
+                buf.extend_from_slice(&c.raw().to_be_bytes());
             }
         }
         SysMsg::Replay(r) => {
-            buf.put_u8(TAG_REPLAY);
-            buf.put_u64(r.ue.raw());
-            buf.put_u32(r.messages.len() as u32);
+            buf.push(TAG_REPLAY);
+            buf.extend_from_slice(&r.ue.raw().to_be_bytes());
+            buf.extend_from_slice(&(r.messages.len() as u32).to_be_bytes());
             for env in &r.messages {
                 put_envelope(env, codec.as_ref(), buf)?;
             }
         }
         SysMsg::FetchState { ue, requester } => {
-            buf.put_u8(TAG_FETCH_STATE);
-            buf.put_u64(ue.raw());
-            buf.put_u64(requester.raw());
+            buf.push(TAG_FETCH_STATE);
+            buf.extend_from_slice(&ue.raw().to_be_bytes());
+            buf.extend_from_slice(&requester.raw().to_be_bytes());
         }
         SysMsg::FetchStateResp { ue, state } => {
-            buf.put_u8(TAG_FETCH_RESP);
-            buf.put_u64(ue.raw());
+            buf.push(TAG_FETCH_RESP);
+            buf.extend_from_slice(&ue.raw().to_be_bytes());
             match state {
                 Some(s) => {
-                    buf.put_u8(1);
+                    buf.push(1);
                     put_state(s, buf)?;
                 }
-                None => buf.put_u8(0),
+                None => buf.push(0),
             }
         }
         SysMsg::S11(r) => {
-            buf.put_u8(TAG_S11);
-            buf.put_u64(r.ue.raw());
-            buf.put_u64(r.cpf.raw());
-            buf.put_u8(session_op_code(r.op));
+            buf.push(TAG_S11);
+            buf.extend_from_slice(&r.ue.raw().to_be_bytes());
+            buf.extend_from_slice(&r.cpf.raw().to_be_bytes());
+            buf.push(session_op_code(r.op));
             put_opt_u64(buf, r.session.map(|s| s.raw()));
         }
         SysMsg::S11Resp(r) => {
-            buf.put_u8(TAG_S11_RESP);
-            buf.put_u64(r.ue.raw());
-            buf.put_u8(session_op_code(r.op));
-            buf.put_u64(r.upf.raw());
+            buf.push(TAG_S11_RESP);
+            buf.extend_from_slice(&r.ue.raw().to_be_bytes());
+            buf.push(session_op_code(r.op));
+            buf.extend_from_slice(&r.upf.raw().to_be_bytes());
             put_opt_u64(buf, r.session.map(|s| s.raw()));
-            buf.put_u8(u8::from(r.ok));
+            buf.push(u8::from(r.ok));
         }
         SysMsg::AskReAttach { ue } => {
-            buf.put_u8(TAG_ASK_RE_ATTACH);
-            buf.put_u64(ue.raw());
+            buf.push(TAG_ASK_RE_ATTACH);
+            buf.extend_from_slice(&ue.raw().to_be_bytes());
         }
         SysMsg::MigrationAck { ue } => {
-            buf.put_u8(TAG_MIGRATION_ACK);
-            buf.put_u64(ue.raw());
+            buf.push(TAG_MIGRATION_ACK);
+            buf.extend_from_slice(&ue.raw().to_be_bytes());
         }
         SysMsg::RelayReAttach { ue, bs } => {
-            buf.put_u8(TAG_RELAY_RE_ATTACH);
-            buf.put_u64(ue.raw());
-            buf.put_u64(bs.raw());
+            buf.push(TAG_RELAY_RE_ATTACH);
+            buf.extend_from_slice(&ue.raw().to_be_bytes());
+            buf.extend_from_slice(&bs.raw().to_be_bytes());
         }
         SysMsg::CpfFailure { cpf } => {
-            buf.put_u8(TAG_CPF_FAILURE);
-            buf.put_u64(cpf.raw());
+            buf.push(TAG_CPF_FAILURE);
+            buf.extend_from_slice(&cpf.raw().to_be_bytes());
         }
         SysMsg::DownlinkData { ue } => {
-            buf.put_u8(TAG_DOWNLINK_DATA);
-            buf.put_u64(ue.raw());
+            buf.push(TAG_DOWNLINK_DATA);
+            buf.extend_from_slice(&ue.raw().to_be_bytes());
         }
         SysMsg::DdnRequest { ue, upf } => {
-            buf.put_u8(TAG_DDN);
-            buf.put_u64(ue.raw());
-            buf.put_u64(upf.raw());
+            buf.push(TAG_DDN);
+            buf.extend_from_slice(&ue.raw().to_be_bytes());
+            buf.extend_from_slice(&upf.raw().to_be_bytes());
         }
         SysMsg::ResyncRequest { ue, procedure, cta } => {
-            buf.put_u8(TAG_RESYNC_REQUEST);
-            buf.put_u64(ue.raw());
-            buf.put_u64(procedure.raw());
-            buf.put_u64(cta.raw());
+            buf.push(TAG_RESYNC_REQUEST);
+            buf.extend_from_slice(&ue.raw().to_be_bytes());
+            buf.extend_from_slice(&procedure.raw().to_be_bytes());
+            buf.extend_from_slice(&cta.raw().to_be_bytes());
         }
         SysMsg::ResyncBehind { ue, have, cpf } => {
-            buf.put_u8(TAG_RESYNC_BEHIND);
-            buf.put_u64(ue.raw());
-            buf.put_u64(have.raw());
-            buf.put_u64(cpf.raw());
+            buf.push(TAG_RESYNC_BEHIND);
+            buf.extend_from_slice(&ue.raw().to_be_bytes());
+            buf.extend_from_slice(&have.raw().to_be_bytes());
+            buf.extend_from_slice(&cpf.raw().to_be_bytes());
         }
         SysMsg::Reject {
             ue,
             class,
             retry_after_ms,
         } => {
-            buf.put_u8(TAG_REJECT);
-            buf.put_u64(ue.raw());
-            buf.put_u8(class.raw());
-            buf.put_u64(*retry_after_ms);
+            buf.push(TAG_REJECT);
+            buf.extend_from_slice(&ue.raw().to_be_bytes());
+            buf.push(class.raw());
+            buf.extend_from_slice(&retry_after_ms.to_be_bytes());
         }
     }
     Ok(())
@@ -337,29 +361,29 @@ fn session_op_from(code: u8) -> Result<SessionOp> {
 fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
     match v {
         Some(x) => {
-            buf.put_u8(1);
-            buf.put_u64(x);
+            buf.push(1);
+            buf.extend_from_slice(&x.to_be_bytes());
         }
-        None => buf.put_u8(0),
+        None => buf.push(0),
     }
 }
 
 fn get_opt_u64(buf: &mut &[u8]) -> Result<Option<u64>> {
-    if buf.remaining() < 1 {
+    if buf.is_empty() {
         return Err(err("truncated option"));
     }
-    if buf.get_u8() == 1 {
-        if buf.remaining() < 8 {
+    if get_u8(buf) == 1 {
+        if buf.len() < 8 {
             return Err(err("truncated option body"));
         }
-        Ok(Some(buf.get_u64()))
+        Ok(Some(get_u64(buf)))
     } else {
         Ok(None)
     }
 }
 
 fn need(buf: &&[u8], n: usize) -> Result<()> {
-    if buf.remaining() < n {
+    if buf.len() < n {
         Err(err("truncated frame"))
     } else {
         Ok(())
@@ -371,17 +395,17 @@ pub fn decode_sysmsg(frame: &[u8], codec_kind: CodecKind) -> Result<SysMsg> {
     let codec = codec_kind.instance();
     let mut buf = frame;
     need(&buf, 1)?;
-    let tag = buf.get_u8();
+    let tag = get_u8(&mut buf);
     let msg = match tag {
         TAG_CONTROL => SysMsg::Control(get_envelope(&mut buf, codec.as_ref())?),
         TAG_STATE_SYNC => {
             need(&buf, 8 * 5 + 1)?;
-            let ue = UeId::new(buf.get_u64());
-            let primary = CpfId::new(buf.get_u64());
-            let cta = CtaId::new(buf.get_u64());
-            let procedure = ProcedureId::new(buf.get_u64());
-            let end_clock = ClockTick(buf.get_u64());
-            let purpose = match buf.get_u8() {
+            let ue = UeId::new(get_u64(&mut buf));
+            let primary = CpfId::new(get_u64(&mut buf));
+            let cta = CtaId::new(get_u64(&mut buf));
+            let procedure = ProcedureId::new(get_u64(&mut buf));
+            let end_clock = ClockTick(get_u64(&mut buf));
+            let purpose = match get_u8(&mut buf) {
                 0 => SyncPurpose::Checkpoint,
                 1 => SyncPurpose::Migration,
                 other => return Err(err(format!("bad purpose {other}"))),
@@ -400,19 +424,19 @@ pub fn decode_sysmsg(frame: &[u8], codec_kind: CodecKind) -> Result<SysMsg> {
         TAG_SYNC_ACK => {
             need(&buf, 8 * 4)?;
             SysMsg::SyncAck(SyncAck {
-                ue: UeId::new(buf.get_u64()),
-                replica: CpfId::new(buf.get_u64()),
-                procedure: ProcedureId::new(buf.get_u64()),
-                end_clock: ClockTick(buf.get_u64()),
+                ue: UeId::new(get_u64(&mut buf)),
+                replica: CpfId::new(get_u64(&mut buf)),
+                procedure: ProcedureId::new(get_u64(&mut buf)),
+                end_clock: ClockTick(get_u64(&mut buf)),
             })
         }
         TAG_MARK_OUTDATED => {
             need(&buf, 8 * 2 + 2)?;
-            let ue = UeId::new(buf.get_u64());
-            let clock = ClockTick(buf.get_u64());
-            let n = buf.get_u16() as usize;
+            let ue = UeId::new(get_u64(&mut buf));
+            let clock = ClockTick(get_u64(&mut buf));
+            let n = get_u16(&mut buf) as usize;
             need(&buf, 8 * n)?;
-            let up_to_date = (0..n).map(|_| CpfId::new(buf.get_u64())).collect();
+            let up_to_date = (0..n).map(|_| CpfId::new(get_u64(&mut buf))).collect();
             SysMsg::MarkOutdated(MarkOutdated {
                 ue,
                 clock,
@@ -421,8 +445,8 @@ pub fn decode_sysmsg(frame: &[u8], codec_kind: CodecKind) -> Result<SysMsg> {
         }
         TAG_REPLAY => {
             need(&buf, 8 + 4)?;
-            let ue = UeId::new(buf.get_u64());
-            let n = buf.get_u32() as usize;
+            let ue = UeId::new(get_u64(&mut buf));
+            let n = get_u32(&mut buf) as usize;
             let mut messages = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
                 messages.push(get_envelope(&mut buf, codec.as_ref())?);
@@ -432,14 +456,14 @@ pub fn decode_sysmsg(frame: &[u8], codec_kind: CodecKind) -> Result<SysMsg> {
         TAG_FETCH_STATE => {
             need(&buf, 16)?;
             SysMsg::FetchState {
-                ue: UeId::new(buf.get_u64()),
-                requester: CpfId::new(buf.get_u64()),
+                ue: UeId::new(get_u64(&mut buf)),
+                requester: CpfId::new(get_u64(&mut buf)),
             }
         }
         TAG_FETCH_RESP => {
             need(&buf, 9)?;
-            let ue = UeId::new(buf.get_u64());
-            let state = if buf.get_u8() == 1 {
+            let ue = UeId::new(get_u64(&mut buf));
+            let state = if get_u8(&mut buf) == 1 {
                 Some(Box::new(get_state(&mut buf)?))
             } else {
                 None
@@ -448,9 +472,9 @@ pub fn decode_sysmsg(frame: &[u8], codec_kind: CodecKind) -> Result<SysMsg> {
         }
         TAG_S11 => {
             need(&buf, 17)?;
-            let ue = UeId::new(buf.get_u64());
-            let cpf = CpfId::new(buf.get_u64());
-            let op = session_op_from(buf.get_u8())?;
+            let ue = UeId::new(get_u64(&mut buf));
+            let cpf = CpfId::new(get_u64(&mut buf));
+            let op = session_op_from(get_u8(&mut buf))?;
             let session = get_opt_u64(&mut buf)?.map(SessionId::new);
             SysMsg::S11(S11Request {
                 ue,
@@ -461,12 +485,12 @@ pub fn decode_sysmsg(frame: &[u8], codec_kind: CodecKind) -> Result<SysMsg> {
         }
         TAG_S11_RESP => {
             need(&buf, 17)?;
-            let ue = UeId::new(buf.get_u64());
-            let op = session_op_from(buf.get_u8())?;
-            let upf = UpfId::new(buf.get_u64());
+            let ue = UeId::new(get_u64(&mut buf));
+            let op = session_op_from(get_u8(&mut buf))?;
+            let upf = UpfId::new(get_u64(&mut buf));
             let session = get_opt_u64(&mut buf)?.map(SessionId::new);
             need(&buf, 1)?;
-            let ok = buf.get_u8() == 1;
+            let ok = get_u8(&mut buf) == 1;
             SysMsg::S11Resp(S11Response {
                 ue,
                 op,
@@ -478,67 +502,67 @@ pub fn decode_sysmsg(frame: &[u8], codec_kind: CodecKind) -> Result<SysMsg> {
         TAG_ASK_RE_ATTACH => {
             need(&buf, 8)?;
             SysMsg::AskReAttach {
-                ue: UeId::new(buf.get_u64()),
+                ue: UeId::new(get_u64(&mut buf)),
             }
         }
         TAG_MIGRATION_ACK => {
             need(&buf, 8)?;
             SysMsg::MigrationAck {
-                ue: UeId::new(buf.get_u64()),
+                ue: UeId::new(get_u64(&mut buf)),
             }
         }
         TAG_RELAY_RE_ATTACH => {
             need(&buf, 16)?;
             SysMsg::RelayReAttach {
-                ue: UeId::new(buf.get_u64()),
-                bs: BsId::new(buf.get_u64()),
+                ue: UeId::new(get_u64(&mut buf)),
+                bs: BsId::new(get_u64(&mut buf)),
             }
         }
         TAG_CPF_FAILURE => {
             need(&buf, 8)?;
             SysMsg::CpfFailure {
-                cpf: CpfId::new(buf.get_u64()),
+                cpf: CpfId::new(get_u64(&mut buf)),
             }
         }
         TAG_DOWNLINK_DATA => {
             need(&buf, 8)?;
             SysMsg::DownlinkData {
-                ue: UeId::new(buf.get_u64()),
+                ue: UeId::new(get_u64(&mut buf)),
             }
         }
         TAG_DDN => {
             need(&buf, 16)?;
             SysMsg::DdnRequest {
-                ue: UeId::new(buf.get_u64()),
-                upf: UpfId::new(buf.get_u64()),
+                ue: UeId::new(get_u64(&mut buf)),
+                upf: UpfId::new(get_u64(&mut buf)),
             }
         }
         TAG_RESYNC_REQUEST => {
             need(&buf, 24)?;
             SysMsg::ResyncRequest {
-                ue: UeId::new(buf.get_u64()),
-                procedure: ProcedureId::new(buf.get_u64()),
-                cta: CtaId::new(buf.get_u64()),
+                ue: UeId::new(get_u64(&mut buf)),
+                procedure: ProcedureId::new(get_u64(&mut buf)),
+                cta: CtaId::new(get_u64(&mut buf)),
             }
         }
         TAG_RESYNC_BEHIND => {
             need(&buf, 24)?;
             SysMsg::ResyncBehind {
-                ue: UeId::new(buf.get_u64()),
-                have: ProcedureId::new(buf.get_u64()),
-                cpf: CpfId::new(buf.get_u64()),
+                ue: UeId::new(get_u64(&mut buf)),
+                have: ProcedureId::new(get_u64(&mut buf)),
+                cpf: CpfId::new(get_u64(&mut buf)),
             }
         }
         TAG_REJECT => {
             need(&buf, 17)?;
-            let ue = UeId::new(buf.get_u64());
-            let raw = buf.get_u8();
+            let ue = UeId::new(get_u64(&mut buf));
+            let raw = get_u8(&mut buf);
             let class = AdmissionClass::from_raw(raw)
                 .ok_or_else(|| err(format!("bad admission class {raw}")))?;
             SysMsg::Reject {
                 ue,
                 class,
-                retry_after_ms: buf.get_u64(),
+                retry_after_ms: get_u64(&mut buf),
             }
         }
         other => return Err(err(format!("unknown frame tag {other}"))),

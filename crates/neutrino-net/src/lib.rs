@@ -11,7 +11,7 @@
 //!   baselines, optimized fastbuf for Neutrino — exactly as on the paper's
 //!   testbed wire).
 //! * [`mesh`] — an in-process deployment: every node on its own thread,
-//!   crossbeam channels as links. This is what the runnable examples use.
+//!   `std::sync::mpsc` channels as links. This is what the runnable examples use.
 //! * [`udp`] — a UDP transport binding node addresses to sockets, using
 //!   [`framing`]; demonstrates the cores over a real network stack.
 

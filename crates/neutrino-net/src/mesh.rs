@@ -1,5 +1,5 @@
 //! An in-process real-time deployment: every node on its own thread,
-//! crossbeam channels as links.
+//! `std::sync::mpsc` channels as links.
 //!
 //! The mesh runs the *same* sans-IO cores as the simulator, against the
 //! wall clock. When [`MeshConfig::serialize_on_wire`] is set, every message
@@ -8,7 +8,6 @@
 //! engine, exactly like the paper's testbed.
 
 use crate::framing::{decode_sysmsg, encode_sysmsg};
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use neutrino_codec::CodecKind;
 use neutrino_common::time::Instant;
 use neutrino_common::{BsId, CpfId, CtaId, UpfId};
@@ -16,9 +15,9 @@ use neutrino_cpf::{CpfCore, CpfOutput};
 use neutrino_cta::{CtaCore, CtaOutput};
 use neutrino_messages::SysMsg;
 use neutrino_upf::{UpfCore, UpfOutput};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Addresses on the mesh.
@@ -68,12 +67,19 @@ struct Router {
 }
 
 impl Router {
+    /// The link table. The lock is only held for one lookup or insert,
+    /// which leaves the map valid even if its holder panics, so a poisoned
+    /// lock is recovered rather than propagated.
+    fn links(&self) -> MutexGuard<'_, HashMap<NodeAddr, Sender<MeshMsg>>> {
+        self.links.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn now(&self) -> Instant {
         Instant::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 
     fn send(&self, to: NodeAddr, msg: &SysMsg) {
-        let tx = match self.links.lock().get(&to) {
+        let tx = match self.links().get(&to) {
             Some(tx) => tx.clone(),
             None => return, // destination gone (shutdown)
         };
@@ -115,8 +121,8 @@ impl Mesh {
             links: Arc::new(Mutex::new(HashMap::new())),
             epoch: std::time::Instant::now(),
         };
-        let (tx, rx) = unbounded();
-        router.links.lock().insert(NodeAddr::Client, tx);
+        let (tx, rx) = channel();
+        router.links().insert(NodeAddr::Client, tx);
         Mesh {
             router,
             handles: Vec::new(),
@@ -125,8 +131,8 @@ impl Mesh {
     }
 
     fn register(&self, addr: NodeAddr) -> Receiver<MeshMsg> {
-        let (tx, rx) = unbounded();
-        self.router.links.lock().insert(addr, tx);
+        let (tx, rx) = channel();
+        self.router.links().insert(addr, tx);
         rx
     }
 
@@ -223,7 +229,7 @@ impl Mesh {
 
     /// Stops every node thread and joins them.
     pub fn shutdown(mut self) {
-        let links: Vec<Sender<MeshMsg>> = self.router.links.lock().values().cloned().collect();
+        let links: Vec<Sender<MeshMsg>> = self.router.links().values().cloned().collect();
         for tx in links {
             let _ = tx.send(MeshMsg::Stop);
         }
