@@ -32,7 +32,7 @@ use std::process::ExitCode;
 /// Engine throughput of one figure cell (`--bench-out`).
 #[derive(Debug, Serialize)]
 struct CellBench {
-    /// The cell's index in the figure's input order.
+    /// The cell's index across all of the figure's sweeps, in run order.
     index: usize,
     /// Simulation runs the cell executed.
     sim_runs: usize,

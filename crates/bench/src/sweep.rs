@@ -15,7 +15,7 @@
 
 use neutrino_core::experiment::drain_run_perf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// One unit of figure work: runs on exactly one worker thread.
 pub type Cell<T> = Box<dyn FnOnce() -> T + Send>;
@@ -24,14 +24,51 @@ pub type Cell<T> = Box<dyn FnOnce() -> T + Send>;
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// Engine perf attributed to the cells of the most recent sweep(s).
-static CELL_PERF: Mutex<Vec<CellPerf>> = Mutex::new(Vec::new());
+static CELL_PERF: PerfLog = PerfLog::new();
+
+/// Per-cell perf records since the last drain, and the index the next
+/// sweep's first cell takes.
+struct PerfLog {
+    cells: Mutex<Vec<CellPerf>>,
+    next_index: AtomicUsize,
+}
+
+impl PerfLog {
+    const fn new() -> Self {
+        PerfLog {
+            cells: Mutex::new(Vec::new()),
+            next_index: AtomicUsize::new(0),
+        }
+    }
+
+    /// Reserves indexes for a sweep of `n` cells; returns the first.
+    fn reserve(&self, n: usize) -> usize {
+        self.next_index.fetch_add(n, Ordering::Relaxed)
+    }
+
+    fn cells(&self) -> MutexGuard<'_, Vec<CellPerf>> {
+        self.cells
+            .lock()
+            .expect("no thread panics while holding the perf log")
+    }
+
+    /// Drains the records in index order and restarts numbering at zero.
+    fn take(&self) -> Vec<CellPerf> {
+        let mut perf = std::mem::take(&mut *self.cells());
+        self.next_index.store(0, Ordering::Relaxed);
+        perf.sort_by_key(|p| p.index);
+        perf
+    }
+}
 
 /// Engine throughput of one executed cell (summed over the simulation runs
 /// the cell performed — failure cells, for instance, run one experiment;
 /// a cell that runs none reports zeros).
 #[derive(Debug, Clone, Copy)]
 pub struct CellPerf {
-    /// The cell's index in its sweep's input order.
+    /// The cell's index across every sweep since the last
+    /// [`take_cell_perf`]: sweeps in the order they ran, each sweep's cells
+    /// in its input order.
     pub index: usize,
     /// Simulation runs the cell executed.
     pub runs: usize,
@@ -71,9 +108,7 @@ pub fn jobs() -> usize {
 
 /// Drains the per-cell engine perf accumulated since the last call.
 pub fn take_cell_perf() -> Vec<CellPerf> {
-    let mut perf = std::mem::take(&mut *CELL_PERF.lock().unwrap());
-    perf.sort_by_key(|p| p.index);
-    perf
+    CELL_PERF.take()
 }
 
 /// Executes `cells` across the configured worker pool, returning results in
@@ -85,13 +120,19 @@ pub fn run_cells<T: Send>(cells: Vec<Cell<T>>) -> Vec<T> {
 
 /// [`run_cells`] with an explicit worker count.
 pub fn run_cells_with<T: Send>(jobs: usize, cells: Vec<Cell<T>>) -> Vec<T> {
+    run_logged(&CELL_PERF, jobs, cells)
+}
+
+/// [`run_cells_with`], recording cell perf into `log`.
+fn run_logged<T: Send>(log: &PerfLog, jobs: usize, cells: Vec<Cell<T>>) -> Vec<T> {
     let n = cells.len();
+    let base = log.reserve(n);
     let jobs = jobs.max(1).min(n.max(1));
     if jobs <= 1 {
         return cells
             .into_iter()
             .enumerate()
-            .map(|(index, cell)| run_one(index, cell))
+            .map(|(index, cell)| run_one(log, base + index, cell))
             .collect();
     }
 
@@ -105,7 +146,7 @@ pub fn run_cells_with<T: Send>(jobs: usize, cells: Vec<Cell<T>>) -> Vec<T> {
             s.spawn(|| loop {
                 let next = queue.lock().unwrap().pop();
                 let Some((index, cell)) = next else { break };
-                let out = run_one(index, cell);
+                let out = run_one(log, base + index, cell);
                 results.lock().unwrap()[index] = Some(out);
             });
         }
@@ -120,7 +161,7 @@ pub fn run_cells_with<T: Send>(jobs: usize, cells: Vec<Cell<T>>) -> Vec<T> {
 
 /// Runs one cell on the current thread, attributing the engine perf of the
 /// simulation runs it performs.
-fn run_one<T>(index: usize, cell: Cell<T>) -> T {
+fn run_one<T>(log: &PerfLog, index: usize, cell: Cell<T>) -> T {
     // Anything left over belongs to no cell (e.g. a direct run_experiment
     // call outside a sweep); discard so attribution stays per-cell.
     let _ = drain_run_perf();
@@ -132,7 +173,7 @@ fn run_one<T>(index: usize, cell: Cell<T>) -> T {
         events_processed: runs.iter().map(|r| r.events_processed).sum(),
         sim_wall: runs.iter().map(|r| r.wall).sum(),
     };
-    CELL_PERF.lock().unwrap().push(perf);
+    log.cells().push(perf);
     out
 }
 
@@ -174,6 +215,21 @@ mod tests {
         assert!(run_cells_with(8, none).is_empty());
         let one: Vec<Cell<u8>> = vec![Box::new(|| 7)];
         assert_eq!(run_cells_with(64, one), vec![7]);
+    }
+
+    #[test]
+    fn cell_indexes_are_unique_across_sweeps() {
+        // A private log: other tests' sweeps run concurrently on the global.
+        let log = PerfLog::new();
+        let cells = |n: usize| (0..n).map(|_| Box::new(|| ()) as Cell<()>).collect();
+        run_logged(&log, 2, cells(3));
+        run_logged(&log, 1, cells(4));
+        let indexes: Vec<usize> = log.take().iter().map(|p| p.index).collect();
+        assert_eq!(indexes, (0..7).collect::<Vec<_>>());
+        // The next figure numbers from zero again.
+        run_logged(&log, 2, cells(2));
+        let indexes: Vec<usize> = log.take().iter().map(|p| p.index).collect();
+        assert_eq!(indexes, vec![0, 1]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! hold (or reconstruct by replay) before it may serve the UE.
 
 use crate::ies::Tai;
-use crate::wire::{fields, get_bool, get_bytes, get_u32, get_u64, get_u8, list_of, Wire};
+use crate::wire::{fields, list_of, optional, wire_struct, Field, Wire};
 use neutrino_codec::value::{FieldType, Schema, StructSchema, Value};
 use neutrino_common::clock::ClockTick;
 use neutrino_common::{BsId, ProcedureId, Result, SessionId, UeId, UpfId};
@@ -34,54 +34,18 @@ impl StateVersion {
     };
 }
 
-/// One established bearer in the UE's session.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BearerContext {
-    /// E-RAB id.
-    pub erab_id: u8,
-    /// QoS class.
-    pub qci: u8,
-    /// Uplink GTP TEID (on the UPF).
-    pub teid_uplink: u32,
-    /// Downlink GTP TEID (on the BS).
-    pub teid_downlink: u32,
-}
-
-impl Wire for BearerContext {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("BearerContext")
-                        .field("erab_id", FieldType::Constrained { lo: 0, hi: 15 })
-                        .field("qci", FieldType::Constrained { lo: 1, hi: 9 })
-                        .field("teid_uplink", FieldType::UInt { bits: 32 })
-                        .field("teid_downlink", FieldType::UInt { bits: 32 })
-                        .build(),
-                )
-            })
-            .clone()
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.erab_id)),
-            Value::U64(u64::from(self.qci)),
-            Value::U64(u64::from(self.teid_uplink)),
-            Value::U64(u64::from(self.teid_downlink)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "BearerContext";
-        let f = fields(v, M, 4)?;
-        Ok(BearerContext {
-            erab_id: get_u8(&f[0], M, "erab_id")?,
-            qci: get_u8(&f[1], M, "qci")?,
-            teid_uplink: get_u32(&f[2], M, "teid_uplink")?,
-            teid_downlink: get_u32(&f[3], M, "teid_downlink")?,
-        })
+wire_struct! {
+    /// One established bearer in the UE's session.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct BearerContext {
+        /// E-RAB id.
+        pub erab_id: u8 => FieldType::Constrained { lo: 0, hi: 15 },
+        /// QoS class.
+        pub qci: u8 => FieldType::Constrained { lo: 1, hi: 9 },
+        /// Uplink GTP TEID (on the UPF).
+        pub teid_uplink: u32 => FieldType::UInt { bits: 32 },
+        /// Downlink GTP TEID (on the BS).
+        pub teid_downlink: u32 => FieldType::UInt { bits: 32 },
     }
 
     fn sample(seed: u64) -> Self {
@@ -150,6 +114,7 @@ impl UeState {
 }
 
 impl Wire for UeState {
+    // Hand-written: `version` travels flattened, as two wire fields.
     fn schema() -> Arc<Schema> {
         static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
         SCHEMA
@@ -162,16 +127,10 @@ impl Wire for UeState {
                         .field("connected", FieldType::Bool)
                         .field("serving_bs", FieldType::UInt { bits: 64 })
                         .field("serving_upf", FieldType::UInt { bits: 64 })
-                        .field(
-                            "session",
-                            FieldType::Optional(Box::new(FieldType::UInt { bits: 64 })),
-                        )
+                        .field("session", optional(FieldType::UInt { bits: 64 }))
                         .field("tai", Tai::field_type())
                         .field("tai_list", list_of(Tai::field_type(), 16))
-                        .field(
-                            "bearers",
-                            list_of(FieldType::Struct(BearerContext::schema()), 16),
-                        )
+                        .field("bearers", list_of(BearerContext::field_type(), 16))
                         .field("security_key", FieldType::Bytes { max: Some(64) })
                         .field("version_procedure", FieldType::UInt { bits: 64 })
                         .field("version_clock", FieldType::UInt { bits: 64 })
@@ -184,19 +143,16 @@ impl Wire for UeState {
     fn to_value(&self) -> Value {
         Value::Struct(vec![
             Value::U64(self.ue.raw()),
-            Value::U64(u64::from(self.tmsi)),
-            Value::Bool(self.attached),
-            Value::Bool(self.connected),
+            self.tmsi.to_field(),
+            self.attached.to_field(),
+            self.connected.to_field(),
             Value::U64(self.serving_bs.raw()),
             Value::U64(self.serving_upf.raw()),
-            match self.session {
-                Some(s) => Value::some(Value::U64(s.raw())),
-                None => Value::none(),
-            },
+            self.session.map(SessionId::raw).to_field(),
             self.tai.to_value(),
-            crate::ies::list_to_value(&self.tai_list),
-            crate::ies::list_to_value(&self.bearers),
-            Value::Bytes(self.security_key.clone()),
+            self.tai_list.to_field(),
+            self.bearers.to_field(),
+            self.security_key.to_field(),
             Value::U64(self.version.procedure.raw()),
             Value::U64(self.version.clock.raw()),
         ])
@@ -204,27 +160,30 @@ impl Wire for UeState {
 
     fn from_value(v: &Value) -> Result<Self> {
         const M: &str = "UeState";
-        let f = fields(v, M, 13)?;
-        let session = match &f[6] {
-            Value::Optional(Some(inner)) => Some(SessionId::new(get_u64(inner, M, "session")?)),
-            Value::Optional(None) => None,
-            _ => return Err(crate::wire::field_err(M, "session")),
-        };
+        #[rustfmt::skip]
+        let [
+            ue, tmsi, attached, connected, serving_bs, serving_upf, session,
+            tai, tai_list, bearers, security_key, version_procedure, version_clock,
+        ] = fields(v, M)?;
         Ok(UeState {
-            ue: UeId::new(get_u64(&f[0], M, "ue")?),
-            tmsi: get_u32(&f[1], M, "tmsi")?,
-            attached: get_bool(&f[2], M, "attached")?,
-            connected: get_bool(&f[3], M, "connected")?,
-            serving_bs: BsId::new(get_u64(&f[4], M, "serving_bs")?),
-            serving_upf: UpfId::new(get_u64(&f[5], M, "serving_upf")?),
-            session,
-            tai: Tai::from_value(&f[7])?,
-            tai_list: crate::ies::list_from_value(&f[8], M, "tai_list")?,
-            bearers: crate::ies::list_from_value(&f[9], M, "bearers")?,
-            security_key: get_bytes(&f[10], M, "security_key")?.to_vec(),
+            ue: UeId::new(u64::from_field(ue, M, "ue")?),
+            tmsi: Field::from_field(tmsi, M, "tmsi")?,
+            attached: Field::from_field(attached, M, "attached")?,
+            connected: Field::from_field(connected, M, "connected")?,
+            serving_bs: BsId::new(u64::from_field(serving_bs, M, "serving_bs")?),
+            serving_upf: UpfId::new(u64::from_field(serving_upf, M, "serving_upf")?),
+            session: Option::<u64>::from_field(session, M, "session")?.map(SessionId::new),
+            tai: Tai::from_value(tai)?,
+            tai_list: Field::from_field(tai_list, M, "tai_list")?,
+            bearers: Field::from_field(bearers, M, "bearers")?,
+            security_key: Field::from_field(security_key, M, "security_key")?,
             version: StateVersion {
-                procedure: ProcedureId::new(get_u64(&f[11], M, "version_procedure")?),
-                clock: ClockTick(get_u64(&f[12], M, "version_clock")?),
+                procedure: ProcedureId::new(u64::from_field(
+                    version_procedure,
+                    M,
+                    "version_procedure",
+                )?),
+                clock: ClockTick(u64::from_field(version_clock, M, "version_clock")?),
             },
         })
     }
